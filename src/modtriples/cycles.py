@@ -33,6 +33,7 @@ from .divisors import (
 )
 from .errors import (
     CertificationError,
+    DegenerateInput,
     NotAdmissible,
     NotFiniteOverSource,
     NotInteriorPreserving,
@@ -51,7 +52,7 @@ class Component:
         if a.is_constant:
             raise NotFiniteOverSource("component projection to the source is constant")
         if mult < 1:
-            raise ValueError("component multiplicity must be positive")
+            raise DegenerateInput("component multiplicity must be positive")
         if not _canonical:
             a, b = _canonical_pair(a, b)
         object.__setattr__(self, "a", a)

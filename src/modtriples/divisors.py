@@ -21,7 +21,16 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .errors import DegenerateInput, NotEffective
-from .ratpoly import Poly, factor, is_irreducible, poly_gcd, resultant
+from .ratpoly import (
+    Poly,
+    _zdiv_exact,
+    _zgcd,
+    _zprimitive,
+    factor,
+    is_irreducible,
+    poly_gcd,
+    resultant,
+)
 
 
 class ClosedPoint:
@@ -810,10 +819,10 @@ class PullbackComparison:
         if terms:
             basis = _gcd_free_basis(terms + self._escapes)
             for beta, carriers in basis:
-                if any(t.coeff == 0 and _exponent_of(beta, list(t.poly)) for t in carriers):
+                if any(t.coeff == 0 and _exponent_of(beta, t.poly) for t in carriers):
                     continue  # this piece of the line was removed from the model
                 total = sum(
-                    t.coeff * _exponent_of(beta, list(t.poly)) for t in carriers if t.coeff
+                    t.coeff * _exponent_of(beta, t.poly) for t in carriers if t.coeff
                 )
                 if total < 0:
                     return False
@@ -845,8 +854,8 @@ def _gcd_free_basis(items: list[FiberTerm]) -> list[tuple[list[int], list[FiberT
             if len(g) <= 1:
                 continue
             del basis[idx]
-            rest_b = _zdiv_exact_local(b, g)
-            rest_q = _zdiv_exact_local(q, g)
+            rest_b = _zprimitive(_zdiv_exact(b, g))
+            rest_q = _zprimitive(_zdiv_exact(q, g))
             if len(rest_b) > 1:
                 queue.append((rest_b, b_carriers, False))
             queue.append((g, _merge_carriers(b_carriers, carriers), q_irr or b_irr))
@@ -863,10 +872,10 @@ def _pair_gcd(q: list[int], q_irr: bool, b: list[int], b_irr: bool) -> list[int]
     if q_irr and b_irr:
         return q if q == b else [1]
     if q_irr:
-        return q if _zdiv_exact_local(b, q) is not None else [1]
+        return q if _zdiv_exact(b, q) is not None else [1]
     if b_irr:
-        return b if _zdiv_exact_local(q, b) is not None else [1]
-    return _zgcd_local(q, b)
+        return b if _zdiv_exact(q, b) is not None else [1]
+    return _zgcd(q, b)
 
 
 def _merge_carriers(xs: list[FiberTerm], ys: list[FiberTerm]) -> list[FiberTerm]:
@@ -881,27 +890,12 @@ def _all_coprime_by_provenance(xs: list[FiberTerm], ys: list[FiberTerm]) -> bool
     return all(_coprime_by_provenance(a, b) for a in xs for b in ys)
 
 
-def _exponent_of(beta: list[int], poly: list[int]) -> int:
+def _exponent_of(beta: list[int], poly: tuple[int, ...]) -> int:
     count = 0
-    cur = list(poly)
+    cur = poly
     while True:
-        nxt = _zdiv_exact_local(cur, beta)
+        nxt = _zdiv_exact(cur, beta)
         if nxt is None:
             return count
         count += 1
-        cur = nxt
-
-
-def _zgcd_local(a: list[int], b: list[int]) -> list[int]:
-    from .ratpoly import _zgcd
-
-    return _zgcd(list(a), list(b))
-
-
-def _zdiv_exact_local(a: list[int], b: list[int]):
-    from .ratpoly import _zdiv_exact, _zprimitive
-
-    q = _zdiv_exact(list(a), list(b))
-    if q is None:
-        return None
-    return _zprimitive(q)
+        cur = _zprimitive(nxt)

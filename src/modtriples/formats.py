@@ -39,11 +39,25 @@ from .triples import ModulusPair, ModulusTriple, TripleSum
 # polynomial text
 # ---------------------------------------------------------------------------
 
+# Caps that keep the cost of parsing hostile text bounded: the size of
+# every power and product is checked before it is computed.
+MAX_NESTING = 100  # parentheses inside one polynomial literal
+MAX_DEGREE = 256  # exponent of a power, and degree of a power or product
+MAX_HEIGHT_BITS = 10_000  # exponent times the coefficient bit size of the base
+
+
+def _string(value: Any) -> str:
+    # text fields arrive from JSON, where they may hold any JSON type
+    if not isinstance(value, str):
+        raise ParseError(f"expected a string, not {type(value).__name__}")
+    return value
+
 
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, column=self.pos + 1)
@@ -68,7 +82,10 @@ class _Tokens:
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # longer than the interpreter's digit limit
+            raise self.error("integer literal too long") from exc
 
     def at_end(self) -> bool:
         self.skip_ws()
@@ -95,7 +112,10 @@ def _parse_term(tk: _Tokens) -> Poly:
     acc = _parse_power(tk)
     while tk.peek() == "*":
         tk.take("*")
-        acc = acc * _parse_power(tk)
+        rhs = _parse_power(tk)
+        if acc.degree + rhs.degree > MAX_DEGREE:
+            raise tk.error(f"product of degree above {MAX_DEGREE}")
+        acc = acc * rhs
     return acc
 
 
@@ -104,6 +124,15 @@ def _parse_power(tk: _Tokens) -> Poly:
     if tk.peek() == "^":
         tk.take("^")
         exp = tk.integer()
+        if exp > MAX_DEGREE:
+            raise tk.error(f"exponent above {MAX_DEGREE}")
+        if max(base.degree, 0) * exp > MAX_DEGREE:
+            raise tk.error(f"power of degree above {MAX_DEGREE}")
+        bits = max(
+            (c.numerator.bit_length() + c.denominator.bit_length() for c in base.coeffs), default=0
+        )
+        if bits * exp > MAX_HEIGHT_BITS:
+            raise tk.error(f"power with coefficients above {MAX_HEIGHT_BITS} bits")
         return base**exp
     return base
 
@@ -112,8 +141,12 @@ def _parse_atom(tk: _Tokens) -> Poly:
     ch = tk.peek()
     if ch == "(":
         tk.take("(")
+        tk.depth += 1
+        if tk.depth > MAX_NESTING:
+            raise tk.error(f"parentheses nested deeper than {MAX_NESTING}")
         inner = _parse_expr(tk)
         tk.take(")")
+        tk.depth -= 1
         return inner
     if ch == "x":
         tk.take("x")
@@ -131,7 +164,7 @@ def _parse_atom(tk: _Tokens) -> Poly:
 
 
 def parse_poly(text: str) -> Poly:
-    tk = _Tokens(text)
+    tk = _Tokens(_string(text))
     poly = _parse_expr(tk)
     if not tk.at_end():
         raise tk.error("trailing input after polynomial")
@@ -169,7 +202,7 @@ def poly_to_text(p: Poly) -> str:
 
 
 def parse_point(text: str) -> ClosedPoint:
-    text = text.strip()
+    text = _string(text).strip()
     if not (text.startswith("P(") and text.endswith(")")):
         raise ParseError(f"point literal must look like P(...): {text!r}")
     inner = text[2:-1].strip()
@@ -220,7 +253,7 @@ def _split_signed_terms(text: str) -> list[tuple[int, str]]:
 
 
 def parse_divisor(text: str) -> Divisor:
-    text = text.strip()
+    text = _string(text).strip()
     if text == "0" or not text:
         return Divisor.zero()
     entries = []
@@ -293,9 +326,10 @@ def space_from_json(data: Any) -> CurveSpace:
     if data["kind"] == "proper":
         return CurveSpace.proper()
     if data["kind"] == "open":
-        boundary = [parse_point(t) for t in data.get("boundary", [])]
-        if not boundary:
-            raise ParseError("an open total space needs a nonempty boundary")
+        texts = data.get("boundary", [])
+        if not isinstance(texts, list) or not texts:
+            raise ParseError("an open total space needs a nonempty boundary list")
+        boundary = [parse_point(t) for t in texts]
         return CurveSpace.open(boundary)
     raise ParseError(f"unknown total space kind {data['kind']!r}")
 
@@ -360,12 +394,18 @@ def cycle_from_json(data: Any) -> Cycle:
         raise ParseError("a cycle is a JSON object")
     source = triple_from_json(data.get("source", {}))
     target = triple_from_json(data.get("target", {}))
+    items = data.get("components", [])
+    if not isinstance(items, list):
+        raise ParseError("a cycle's components are a JSON list")
     comps = []
-    for item in data.get("components", []):
-        a = map_from_json(item["a"])
-        b = map_from_json(item["b"])
-        mult = int(item.get("mult", 1))
-        comps.append(Component(a, b, mult))
+    for item in items:
+        if not isinstance(item, dict) or "a" not in item or "b" not in item:
+            raise ParseError("a component is a JSON object with maps 'a' and 'b'")
+        mult = item.get("mult", 1)
+        # bool is an int subclass, but true is not a multiplicity
+        if type(mult) is not int or mult < 1:
+            raise ParseError(f"component multiplicity must be a positive integer, not {mult!r}")
+        comps.append(Component(map_from_json(item["a"]), map_from_json(item["b"]), mult))
     return Cycle(source, target, comps)
 
 
@@ -451,4 +491,6 @@ def parse_input(text: str, kind: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     return _JSON_KINDS[kind](data)

@@ -406,8 +406,16 @@ def minimal_compactification_level(
     """Least n >= 1 with alpha admissible from the n-th stage of t.
 
     The candidate stages add n times the reduced boundary to the plus
-    divisor; the chain is cofinal among compactifications on the curve,
-    and admissibility is monotone in n, so the first hit is the level.
+    divisor; the chain is cofinal among compactifications on the curve.
+    Admissibility is monotone in n: stage n checks
+    a*S+ + b*T- >= a*S- + b*T+ per component with S+ = plus + n*B_red,
+    and a*(B_red) is effective, so raising n only grows the left side.
+    Once a stage passes, every later one does.  The search therefore
+    gallops over stages 1, 2, 4, ... (the last probe clamped to
+    max_level) and bisects between the last failing and the first
+    passing probe: at most 2*ceil(log2 n) + 1 admissibility checks for
+    level n, instead of n.  CertificationError means stage max_level
+    (hence every stage up to it) is not admissible.
     """
     if t.total.is_proper:
         raise DegenerateInput("the source must have an open total space")
@@ -415,8 +423,22 @@ def minimal_compactification_level(
         raise DegenerateInput("the target must be proper")
     if not is_admissible(alpha.with_ends(t, s)):
         raise NotAdmissible("candidate is not admissible from the open triple")
-    for n in range(1, max_level + 1):
-        staged = alpha.with_ends(compactification_stage(t, n), s)
-        if is_admissible(staged):
-            return n
-    raise CertificationError("no stage admitted the correspondence below the search cap")
+    capped = CertificationError("no stage admitted the correspondence below the search cap")
+    if max_level < 1:
+        raise capped
+
+    def admits(n: int) -> bool:
+        return bool(is_admissible(alpha.with_ends(compactification_stage(t, n), s)))
+
+    failing, passing = 0, 1
+    while not admits(passing):
+        if passing == max_level:
+            raise capped
+        failing, passing = passing, min(2 * passing, max_level)
+    while passing - failing > 1:
+        mid = (failing + passing) // 2
+        if admits(mid):
+            passing = mid
+        else:
+            failing = mid
+    return passing

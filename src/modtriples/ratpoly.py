@@ -152,8 +152,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # the square after the top bit would go unused
+                base = base * base
         return result
 
     def shift(self, k: int) -> "Poly":

@@ -1,9 +1,14 @@
 """CLI behavior: verdicts, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modtriples
 from modtriples.cli import main
 from modtriples.suites import SuiteConfig, run_suite
 
@@ -59,6 +64,51 @@ class TestExitCodes:
 
     def test_unknown_suite(self, capsys):
         assert main(["suite", "--suites", "nope", "--samples", "1"]) == 2
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ, PYTHONPATH=str(Path(modtriples.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "modtriples.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+class TestMalformedInputExitsTwo:
+    """Bad input is an error (exit 2) with a diagnostic, never a traceback."""
+
+    @pytest.mark.parametrize("mult", ["0", "-1", '"abc"', "1.5", "true", '"2"'])
+    def test_bad_multiplicity(self, files, mult):
+        cycle = files("m.json", ID_CYCLE.replace('"mult": 1', f'"mult": {mult}'))
+        out = run_cli("check", "admissible", "--cycle", cycle)
+        assert out.returncode == 2
+        assert "ParseError" in out.stderr
+        assert "Traceback" not in out.stdout + out.stderr
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            "(" * 3000 + "x" + ")" * 3000,
+            "x^100000000 + 1",
+            "(x + 1)^200 * (x + 1)^200",
+            "((7^256)^256)^256 * x + 1",
+            "1" * 5000 + " + x",
+        ],
+        ids=["deep-nesting", "huge-exponent", "huge-product", "huge-height", "long-integer"],
+    )
+    def test_bounded_polynomial_literal(self, files, point):
+        triple = files("t.json", json.dumps({"plus": f"1*P({point})", "minus": "0"}))
+        out = run_cli("check", "class", "--triple", triple)
+        assert out.returncode == 2
+        assert "ParseError" in out.stderr
+        assert "Traceback" not in out.stdout + out.stderr
+
+    def test_deeply_nested_json(self, files):
+        cycle = files("deep.json", "[" * 100000 + "]" * 100000)
+        out = run_cli("check", "admissible", "--cycle", cycle)
+        assert out.returncode == 2
+        assert "Traceback" not in out.stdout + out.stderr
 
 
 class TestCommands:

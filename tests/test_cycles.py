@@ -8,6 +8,7 @@ from modtriples import (
     Component,
     CurveSpace,
     Cycle,
+    DegenerateInput,
     Divisor,
     ModulusTriple,
     NotFiniteOverSource,
@@ -95,6 +96,11 @@ class TestCanonicalForm:
         shift = RationalMap.from_fraction(X + Poly.one(), Poly.one())
         twisted = Component(RationalMap.polynomial((X + Poly.one()) ** 2), shift, 1)
         assert twisted.b.is_identity and twisted.a == SQ
+
+    @pytest.mark.parametrize("mult", [0, -2])
+    def test_nonpositive_multiplicity_is_degenerate(self, mult):
+        with pytest.raises(DegenerateInput):
+            Component(ID, SQ, mult)
 
 
 class TestAdmissible:

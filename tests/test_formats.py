@@ -6,6 +6,8 @@ import pytest
 
 from modtriples import INFINITY, ClosedPoint, DegenerateInput, Divisor, ModulusTriple, ParseError, Poly
 from modtriples.formats import (
+    MAX_DEGREE,
+    MAX_NESTING,
     cycle_from_json,
     cycle_to_json,
     divisor_to_text,
@@ -51,6 +53,45 @@ class TestPolyText:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_poly("x x")
+
+
+class TestPolyTextCaps:
+    def test_nesting_at_the_cap(self):
+        depth = MAX_NESTING
+        assert parse_poly("(" * depth + "x" + ")" * depth) == X
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_poly("(" * (depth + 1) + "x" + ")" * (depth + 1))
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_poly("(" * 3000 + "x" + ")" * 3000)
+
+    def test_exponent_at_the_cap(self):
+        assert parse_poly(f"x^{MAX_DEGREE}").degree == MAX_DEGREE
+        with pytest.raises(ParseError, match="exponent"):
+            parse_poly(f"x^{MAX_DEGREE + 1}")
+        with pytest.raises(ParseError, match="exponent"):
+            parse_poly("x^100000000")
+        with pytest.raises(ParseError, match="exponent"):
+            parse_poly("2^100000000")
+
+    def test_power_and_product_degree(self):
+        half = MAX_DEGREE // 2
+        assert parse_poly(f"(x^2 + 1)^{half}").degree == MAX_DEGREE
+        assert parse_poly(f"x^{half} * x^{half}").degree == MAX_DEGREE
+        with pytest.raises(ParseError, match="power of degree"):
+            parse_poly(f"(x^2 + 1)^{half + 1}")
+        with pytest.raises(ParseError, match="product of degree"):
+            parse_poly(f"x^{half} * x^{half} * x")
+
+    def test_power_height(self):
+        assert parse_poly("2^100") == Poly.constant(2**100)
+        with pytest.raises(ParseError, match="bits"):
+            parse_poly(f"(2^{MAX_DEGREE})^{MAX_DEGREE}")
+
+    def test_overlong_integer(self):
+        with pytest.raises(ParseError, match="too long"):
+            parse_poly("1" * 5000)
 
 
 class TestPointText:
@@ -132,6 +173,36 @@ class TestJson:
         cycle = cycle_from_json(data)
         assert cycle_from_json(cycle_to_json(cycle)) == cycle
 
+    @pytest.mark.parametrize("mult", [0, -1, "abc", "2", 1.5, 2.0, True, None])
+    def test_cycle_rejects_bad_multiplicity(self, mult):
+        data = {
+            "source": {"plus": "1*P(inf)"},
+            "target": {"minus": "1*P(inf)"},
+            "components": [{"a": {"num": "x"}, "b": {"num": "x"}, "mult": mult}],
+        }
+        with pytest.raises(ParseError, match="multiplicity"):
+            cycle_from_json(data)
+
+    @pytest.mark.parametrize("item", [[], "x", {"a": {"num": "x"}}])
+    def test_cycle_rejects_malformed_component(self, item):
+        with pytest.raises(ParseError, match="component"):
+            cycle_from_json({"components": [item]})
+
+    @pytest.mark.parametrize(
+        "text,kind",
+        [
+            ('{"components": 5}', "cycle"),
+            ('{"num": 5}', "map"),
+            ('{"const": ["P(0)"]}', "map"),
+            ('{"plus": 3}', "triple"),
+            ('{"total": {"kind": "open", "boundary": 5}}', "triple"),
+            ('{"Y": null}', "iy"),
+        ],
+    )
+    def test_wrong_json_types_are_parse_errors(self, text, kind):
+        with pytest.raises(ParseError):
+            parse_input(text, kind)
+
     def test_parse_input_dispatch(self):
         t = parse_input('{"total": {"kind": "proper"}, "plus": "1*P(inf)", "minus": "0"}', "triple")
         assert t == ModulusTriple.proper(Divisor.of(INFINITY), Divisor.zero())
@@ -141,6 +212,8 @@ class TestJson:
             parse_input("{", "triple")
         with pytest.raises(ParseError):
             parse_input("{}", "nonsense")
+        with pytest.raises(ParseError, match="nested"):
+            parse_input("[" * 100000 + "]" * 100000, "triple")
 
     def test_semantic_rejection(self):
         with pytest.raises(DegenerateInput):

@@ -1,11 +1,15 @@
 """Functors, bridges and adjunction transports."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+import modtriples.functors as functors
 from modtriples import (
     INFINITY,
+    CertificationError,
     ClosedPoint,
     CompObject,
     Component,
@@ -54,6 +58,7 @@ from modtriples import (
     triple_to_mlog,
     tsm_member,
 )
+from modtriples.suites import point_pool, random_map, random_triple
 from modtriples.triples import TripleSum
 
 X = Poly.x()
@@ -290,3 +295,113 @@ class TestCompactification:
         assert not is_comp_object(
             CompObject(base=base, completion=compactification_stage(base, 2), witness_c=3 * DINF)
         )
+
+
+# ---------------------------------------------------------------------------
+# the gallop-and-bisect level search against a plain linear scan
+# ---------------------------------------------------------------------------
+
+
+def linear_level(t, s, alpha, cap):
+    """The stage-by-stage scan the search must agree with."""
+    for n in range(1, cap + 1):
+        if is_admissible(alpha.with_ends(compactification_stage(t, n), s)):
+            return n
+    raise CertificationError("no stage below the cap")
+
+
+def known_level_case(rng, k, m):
+    """f = c + (x - r)^k / d with deg d = k and d(r) != 0, from an open
+    source with boundary {r}: f pulls m*P(c) back to k*m*P(r), so the
+    level is max(1, k*m).  The extra plus point and target minus point
+    do not touch the boundary."""
+    r, c, extra, t_minus = (Fraction(v) for v in rng.sample(range(-6, 7), 4))
+    while True:
+        d = Poly([rng.randint(-5, 5) for _ in range(k)] + [rng.choice((-3, -2, -1, 1, 2, 3))])
+        if d(r):
+            break
+    root_power = Poly((-r, 1)) ** k
+    f = RationalMap.from_fraction(d.scale(c) + root_power, d)
+    base = ModulusTriple(
+        CurveSpace.open([ClosedPoint.rational(r)]),
+        Divisor.of((ClosedPoint.rational(extra), rng.randint(0, 2))),
+        ZERO,
+    )
+    target = ModulusTriple.proper(
+        Divisor.of((ClosedPoint.rational(c), m)),
+        Divisor.of((ClosedPoint.rational(t_minus), rng.randint(0, 2))),
+    )
+    return base, target, Cycle(base, target, [Component(ID, f, 1)])
+
+
+def pullback_case(rng):
+    """The compactify suite's construction, with the target plus scaled up
+    and the boundary drawn from the pulled-back plus support, so that the
+    levels spread beyond the small pool multiplicities."""
+    pool = point_pool()
+    target = random_triple(rng, pool)
+    target = ModulusTriple.proper(rng.randint(1, 12) * target.plus, target.minus)
+    f = random_map(rng, 3, 5)
+    pb_plus = pullback_divisor(f, target.plus)
+    pb_minus = pullback_divisor(f, target.minus)
+    support = sorted(pb_plus.support(), key=lambda p: p.sort_key()) or pool
+    boundary = rng.sample(support, min(len(support), rng.randint(1, 2)))
+    bset = frozenset(boundary)
+    base = ModulusTriple(CurveSpace.open(boundary), pb_plus.drop(bset), pb_minus.drop(bset))
+    return base, target, Cycle(base, target, [Component(ID, f, 1)])
+
+
+class TestLevelSearch:
+    POWERS = [v for j in range(1, 12) for v in (2**j - 1, 2**j, 2**j + 1)]
+
+    @pytest.mark.parametrize("level", sorted({1, 3, 5, 6, 100, 999, 1000, 2999, 3000, *POWERS}))
+    def test_known_levels(self, level):
+        k = next(k for k in (3, 2, 1) if level % k == 0)
+        base, target, alpha = known_level_case(random.Random(level), k, level // k)
+        assert minimal_compactification_level(base, target, alpha) == level
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 64, 65, 1000, 2047, 2048, 2049])
+    def test_probe_count_is_logarithmic(self, level, monkeypatch):
+        base, target, alpha = known_level_case(random.Random(level), 1, level)
+        calls = []
+        real = functors.is_admissible
+        monkeypatch.setattr(functors, "is_admissible", lambda c: calls.append(1) or real(c))
+        assert minimal_compactification_level(base, target, alpha) == level
+        # one precheck from the open triple, then the stage probes
+        assert len(calls) - 1 <= 2 * math.ceil(math.log2(level)) + 1
+
+    def test_agrees_with_linear_scan(self):
+        cases = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            if seed % 2:
+                k = rng.randint(1, 4)
+                base, target, alpha = known_level_case(rng, k, rng.randint(1, 64 // k))
+            else:
+                base, target, alpha = pullback_case(rng)
+                if not is_admissible(alpha):
+                    continue
+            cap = 64 if seed % 3 else rng.randint(1, 64)
+            try:
+                expected = linear_level(base, target, alpha, cap)
+            except CertificationError:
+                with pytest.raises(CertificationError):
+                    minimal_compactification_level(base, target, alpha, max_level=cap)
+            else:
+                assert minimal_compactification_level(base, target, alpha, max_level=cap) == expected
+            cases += 1
+        assert cases >= 50
+
+    @pytest.mark.parametrize("level", [1, 2, 7, 64, 65])
+    def test_cap_edges(self, level):
+        base, target, alpha = known_level_case(random.Random(level), 1, level)
+        assert minimal_compactification_level(base, target, alpha, max_level=level) == level
+        for cap in (level - 1, 0, -3):
+            with pytest.raises(CertificationError):
+                minimal_compactification_level(base, target, alpha, max_level=cap)
+
+    def test_open_triple_precheck_comes_before_the_cap(self):
+        base = ModulusTriple(CurveSpace.open([P1]), ZERO, 2 * DINF)
+        alpha = Cycle(base, BOX, [Component(ID, ID, 1)])
+        with pytest.raises(NotAdmissible):
+            minimal_compactification_level(base, BOX, alpha, max_level=0)

@@ -23,6 +23,16 @@ small_polys = st.builds(
 )
 
 
+class TestPower:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 16])
+    def test_matches_repeated_product(self, n):
+        base = X * X - c(3) * X + c(Fraction(1, 2))
+        expected = ONE
+        for _ in range(n):
+            expected = expected * base
+        assert base**n == expected
+
+
 class TestGcd:
     def test_shared_root(self):
         assert poly_gcd(X**2 - ONE, X - ONE) == X - ONE
