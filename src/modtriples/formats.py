@@ -43,7 +43,9 @@ from .triples import ModulusPair, ModulusTriple, TripleSum
 # every power and product is checked before it is computed.
 MAX_NESTING = 100  # parentheses inside one polynomial literal
 MAX_DEGREE = 256  # exponent of a power, and degree of a power or product
-MAX_HEIGHT_BITS = 10_000  # exponent times the coefficient bit size of the base
+# exponent times the coefficient bit size of a power's base, and the bit
+# size of each numerator and denominator of a point's monic minimal polynomial
+MAX_HEIGHT_BITS = 10_000
 
 
 def _string(value: Any) -> str:
@@ -209,10 +211,16 @@ def parse_point(text: str) -> ClosedPoint:
     if inner == "inf":
         return INFINITY
     poly = parse_poly(inner)
+    # shorthand: P(c) is the rational point x = c
+    minimal = Poly((-poly[0], 1)) if poly.is_constant else poly.monic()
+    # checked before the irreducibility test; the cap also keeps every
+    # accepted point printable under the interpreter's int-to-str limit
+    for c in minimal.coeffs:
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_HEIGHT_BITS:
+            raise ParseError(f"point polynomial with coefficients above {MAX_HEIGHT_BITS} bits")
     if poly.is_constant:
-        # shorthand: P(c) is the rational point x = c
         return ClosedPoint.rational(poly[0])
-    return ClosedPoint.finite(poly)
+    return ClosedPoint.finite(minimal)
 
 
 def point_to_text(p: ClosedPoint) -> str:

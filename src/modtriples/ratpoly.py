@@ -6,16 +6,20 @@ exact.  Rational numbers are ``fractions.Fraction`` (always in lowest
 terms, positive denominator), aliased as ``Rat``.
 
 Factorization follows the classic route: squarefree decomposition
-(Yun), factorization modulo a small prime of good reduction
-(Berlekamp), quadratic Hensel lifting, and exponential-in-the-worst-case
-factor recombination, which is fine at desk scale (degrees stay small
-and inputs are not adversarial).
+(Yun); distinct-degree factorization modulo a few small primes of good
+reduction, whose degree patterns often prove irreducibility outright
+(Musser); Cantor-Zassenhaus equal-degree splitting at the prime with
+the fewest factors; quadratic Hensel lifting; and factor recombination,
+exponential in the worst case, which is fine at desk scale (degrees
+stay small and inputs are not adversarial).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -385,35 +389,15 @@ def _zgcd(a: list[int], b: list[int]) -> list[int]:
     # unreachable
 
 
-def _poly_from_z(ints: list[int]) -> Poly:
-    return Poly.from_int_coeffs(ints)
-
-
 # ---------------------------------------------------------------------------
-# arithmetic mod a prime (dense int lists, reduced coefficients)
+# arithmetic mod m: sums and products are the _z* helpers followed by
+# _pmod.  m is a prime p or, for Hensel lifting, a power p^k; division
+# then needs a unit leading coefficient, which every divisor here has.
 # ---------------------------------------------------------------------------
 
 
 def _pmod(a: list[int], p: int) -> list[int]:
     return _trim([c % p for c in a])
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _trim(out)
-
-
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
 
 
 def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -435,13 +419,11 @@ def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd mod a prime p."""
     a, b = _pmod(a, p), _pmod(b, p)
     while b:
         a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
+    return _pmonic(a, p)
 
 
 def _pmonic(a: list[int], p: int) -> list[int]:
@@ -457,9 +439,10 @@ def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     base = _pdivmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
+            result = _pdivmod(_zmul(result, base), mod, p)[1]
         e >>= 1
+        if e:
+            base = _pdivmod(_zmul(base, base), mod, p)[1]
     return result
 
 
@@ -471,90 +454,85 @@ def _pbezout(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     while r1:
         q, r = _pdivmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
+        s0, s1 = s1, _pmod(_zsub(s0, _zmul(q, s1)), p)
+        t0, t1 = t1, _pmod(_zsub(t0, _zmul(q, t1)), p)
     if len(r0) != 1:
         raise ArithmeticError("inputs not coprime mod p")
     inv = pow(r0[0], -1, p)
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def _berlekamp(f: list[int], p: int) -> list[list[int]]:
-    """Factor a monic squarefree polynomial mod p into monic irreducibles."""
+def _pddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """Distinct-degree factorization of a monic squarefree f mod p.
+
+    Returns pairs (d, g), g the monic product of the irreducible factors
+    of degree d.  Products mod f run on residues packed into big ints, k
+    bytes a coefficient: the rows x^i mod f (i < 2n - 1) reduce a
+    product, and the Frobenius rows x^(i*p) mod f make h -> h^p one
+    vector-matrix product.  A gcd costs O(n^2) list operations and a
+    packed product O(n), so the values h - x for n // 16 + 1 consecutive
+    degrees share one gcd with f.
+    """
     n = len(f) - 1
-    if n <= 1:
-        return [f]
-    # Frobenius matrix: row j holds x^(j*p) mod f
+    k = (2 * n * p * p).bit_length() // 8 + 1  # a slot holds a sum of 2n products
+
+    def pack(a: list[int]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(k, "little") for c in a), "little")
+
+    def unpack(v: int, m: int = n) -> list[int]:
+        bs = v.to_bytes(m * k, "little")
+        return [int.from_bytes(bs[i : i + k], "little") % p for i in range(0, m * k, k)]
+
+    reduce_rows = [1 << (8 * k * i) for i in range(n)]
+    top = [-c % p for c in f[:-1]]  # x^n mod f, then x^(n+1) mod f, ...
+    for _ in range(n - 1):
+        reduce_rows.append(pack(top))
+        top = [(c - top[-1] * fc) % p for c, fc in zip([0] + top[:-1], f)]
+
+    def mulmod(a: list[int], b: list[int]) -> list[int]:
+        prod = unpack(pack(a) * pack(b), 2 * n - 1)
+        return unpack(sum(c * r for c, r in zip(prod, reduce_rows)))
+
     xp = _ppowmod([0, 1], p, f, p)
-    rows = [[1] + [0] * (n - 1)]
-    cur = [1]
-    for _ in range(1, n):
-        cur = _pdivmod(_pmul(cur, xp, p), f, p)[1]
-        rows.append(list(cur) + [0] * (n - len(cur)))
-    # kernel of (Q - I) acting on row vectors
-    mat = [[(rows[i][j] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
-    basis = _left_nullspace(mat, p)
-    factors = [f]
-    for vec in basis:
-        v = _trim(list(vec))
-        if len(v) <= 1:
-            continue  # the constants give no split
-        if len(factors) == len(basis):
-            break
-        next_factors = []
-        for g in factors:
-            if len(g) - 1 <= 1:
-                next_factors.append(g)
-                continue
-            pieces = []
-            rest = g
-            for s in range(p):
-                if len(rest) - 1 <= 0:
-                    break
-                d = _pgcd(rest, _psub(v, [s], p), p)
-                if 0 < len(d) - 1 < len(rest) - 1:
-                    pieces.append(d)
-                    rest = _pdivmod(rest, d, p)[0]
-            pieces.append(rest)
-            next_factors.extend(_pmonic(q, p) for q in pieces if len(q) > 1)
-        factors = next_factors
-    return factors
+    frobenius = [1, pack(xp)]
+    row = xp
+    for _ in range(n - 2):
+        row = mulmod(row, xp)
+        frobenius.append(pack(row))
+    out = []
+    h = [0, 1]
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        block = []
+        for _ in range(min(n // 16 + 1, (len(f) - 1) // 2 - d)):
+            h = unpack(sum(c * r for c, r in zip(h, frobenius)))
+            block.append(_pmod(_zsub(h, [0, 1]), p))
+        g = _pgcd(f, functools.reduce(mulmod, block), p)
+        for i, hx in enumerate(block, 1):
+            d += 1
+            # g holds f's factors of degrees d to the block's last: then only d
+            gd = g if i == len(block) or len(g) == 1 else _pgcd(g, hx, p)
+            if len(gd) > 1:
+                out.append((d, gd))
+                g = _pdivmod(g, gd, p)[0]
+                f = _pdivmod(f, gd, p)[0]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
 
 
-def _left_nullspace(mat: list[list[int]], p: int) -> list[list[int]]:
-    """Vectors v with v*mat = 0 mod p."""
-    n = len(mat)
-    # transpose, then find the usual right kernel
-    m = [[mat[j][i] % p for j in range(n)] for i in range(n)]
-    pivots = {}
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, n):
-            if m[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = pow(m[row][col], -1, p)
-        m[row] = [c * inv % p for c in m[row]]
-        for r in range(n):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [(m[r][j] - factor * m[row][j]) % p for j in range(n)]
-        pivots[col] = row
-        row += 1
-    basis = []
-    for col in range(n):
-        if col in pivots:
-            continue
-        vec = [0] * n
-        vec[col] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-m[pr][col]) % p
-        basis.append(vec)
-    return basis
+def _pedf(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Split a monic g mod an odd prime p, all of whose irreducible factors
+    have degree d, into those factors (Cantor-Zassenhaus)."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    e = (p**d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        s = _pgcd(g, _zsub(_ppowmod(a, e, g, p), [1]), p)
+        if 0 < len(s) - 1 < n:
+            return _pedf(s, d, p, rng) + _pedf(_pdivmod(g, s, p)[0], d, p, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -562,36 +540,16 @@ def _left_nullspace(mat: list[list[int]], p: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _mdivmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Division mod m for monic b."""
-    rem = [c % m for c in a]
-    _trim(rem)
-    if len(rem) < len(b):
-        return [], rem
-    quo = [0] * (len(rem) - len(b) + 1)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + len(b) - 1] % m
-        quo[i] = c
-        if c:
-            for j in range(len(b)):
-                rem[i + j] = (rem[i + j] - c * b[j]) % m
-    return _trim(quo), _trim(rem)
-
-
-def _mnorm(a: list[int], m: int) -> list[int]:
-    return _trim([c % m for c in a])
-
-
 def _hensel_step(f, g, h, s, t, m):
     m2 = m * m
-    e = _mnorm(_zsub(f, _zmul(g, h)), m2)
-    q, r = _mdivmod(_zmul(s, e), h, m2)
-    g1 = _mnorm(_zadd(g, _zadd(_zmul(t, e), _zmul(q, g))), m2)
-    h1 = _mnorm(_zadd(h, r), m2)
-    b = _mnorm(_zsub(_zadd(_zmul(s, g1), _zmul(t, h1)), [1]), m2)
-    c, d = _mdivmod(_zmul(s, b), h1, m2)
-    s1 = _mnorm(_zsub(s, d), m2)
-    t1 = _mnorm(_zsub(t, _zadd(_zmul(t, b), _zmul(c, g1))), m2)
+    e = _pmod(_zsub(f, _zmul(g, h)), m2)
+    q, r = _pdivmod(_zmul(s, e), h, m2)
+    g1 = _pmod(_zadd(g, _zadd(_zmul(t, e), _zmul(q, g))), m2)
+    h1 = _pmod(_zadd(h, r), m2)
+    b = _pmod(_zsub(_zadd(_zmul(s, g1), _zmul(t, h1)), [1]), m2)
+    c, d = _pdivmod(_zmul(s, b), h1, m2)
+    s1 = _pmod(_zsub(s, d), m2)
+    t1 = _pmod(_zsub(t, _zadd(_zmul(t, b), _zmul(c, g1))), m2)
     return g1, h1, s1, t1
 
 
@@ -600,38 +558,32 @@ def _hensel_lift_pair(f, g, h, p, target):
     s, t = _pbezout(g, h, p)
     # degree bounds deg s < deg h, deg t < deg g are required by the step
     s = _pdivmod(s, h, p)[1]
-    t, t_rem = _pdivmod(_psub([1], _pmul(s, g, p), p), h, p)
+    t, t_rem = _pdivmod(_zsub([1], _zmul(s, g)), h, p)
     if t_rem:
         raise ArithmeticError("Bezout normalization failed")
     m = p
     while m < target:
-        f_red = _mnorm(f, m * m)
+        f_red = _pmod(f, m * m)
         g, h, s, t = _hensel_step(f_red, g, h, s, t, m)
         m = m * m
-    return _mnorm(g, target), _mnorm(h, target)
+    return _pmod(g, target), _pmod(h, target)
 
 
 def _hensel_lift_list(f: list[int], parts: list[list[int]], p: int, target: int) -> list[list[int]]:
     """Lift f = lc(f) * prod(parts) mod p to mod target, returning monic lifts."""
     if len(parts) == 1:
-        return [_monic_mod(f, target)]
+        return [_pmonic(f, target)]
     k = len(parts) // 2
     g = [f[-1] % p]
     for q in parts[:k]:
-        g = _pmul(g, q, p)
+        g = _pmod(_zmul(g, q), p)
     h = [1]
     for q in parts[k:]:
-        h = _pmul(h, q, p)
-    g_lift, h_lift = _hensel_lift_pair(_mnorm(f, target), g, h, p, target)
+        h = _pmod(_zmul(h, q), p)
+    g_lift, h_lift = _hensel_lift_pair(_pmod(f, target), g, h, p, target)
     return _hensel_lift_list(g_lift, parts[:k], p, target) + _hensel_lift_list(
         h_lift, parts[k:], p, target
     )
-
-
-def _monic_mod(a: list[int], m: int) -> list[int]:
-    a = _mnorm(a, m)
-    inv = pow(a[-1], -1, m)  # lc is a unit: not divisible by p
-    return _mnorm([c * inv for c in a], m)
 
 
 def _sym(c: int, m: int) -> int:
@@ -640,16 +592,13 @@ def _sym(c: int, m: int) -> int:
 
 
 def _primes() -> Iterator[int]:
-    yield from (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-    n = 49
-    while n < 20000:
+    """The odd primes, without end: a prime of good reduction for f exists
+    because the bad ones divide lc(f) * disc(f), which is nonzero."""
+    n = 1
+    while True:
         n += 2
-        for d in range(3, math.isqrt(n) + 1, 2):
-            if n % d == 0:
-                break
-        else:
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
             yield n
-    raise ArithmeticError("ran out of small primes of good reduction")
 
 
 def _factor_squarefree_int(f: list[int]) -> list[list[int]]:
@@ -658,24 +607,25 @@ def _factor_squarefree_int(f: list[int]) -> list[list[int]]:
     if n <= 1:
         return [f]
     deriv = _trim([i * c for i, c in enumerate(f)][1:])
-    # prime of good reduction: lc survives and the reduction is squarefree
-    best = None
-    seen = 0
-    for p in _primes():
-        if f[-1] % p == 0:
-            continue
-        fbar = _pmonic(f, p)
-        if len(_pgcd(fbar, _pmod(deriv, p), p)) != 1:
-            continue
-        parts = _berlekamp(fbar, p)
-        seen += 1
-        if best is None or len(parts) < len(best[1]):
-            best = (p, parts)
-        if len(best[1]) == 1 or seen >= 4:
-            break
-    p, parts = best
-    if len(parts) == 1:
-        return [f]
+    # primes of good reduction: lc(f) survives and f stays squarefree
+    good = (p for p in _primes() if f[-1] % p and len(_pgcd(f, deriv, p)) == 1)
+    # The degree of a factor over Q is a sum of factor degrees mod every
+    # good p, so f is irreducible once those subset-sum sets meet in {0, n}.
+    degrees = set(range(n + 1))
+    scanned = []
+    for p in itertools.islice(good, 4):
+        ddf = _pddf(_pmonic(f, p), p)
+        sums = {0}
+        for d, g in ddf:
+            for _ in range((len(g) - 1) // d):
+                sums |= {s + d for s in sums}
+        degrees &= sums
+        if degrees == {0, n}:
+            return [f]
+        scanned.append((sum((len(g) - 1) // d for d, g in ddf), p, ddf))
+    _, p, ddf = min(scanned)  # the fewest factors to lift
+    rng = random.Random(p)
+    parts = [q for d, g in ddf for q in _pedf(g, d, p, rng)]
     # lift to a modulus beyond twice the Mignotte factor bound
     norm2 = math.isqrt(sum(c * c for c in f)) + 1
     bound = 2 ** (n + 1) * norm2 * abs(f[-1])
@@ -702,7 +652,7 @@ def _recombine(f: list[int], lifted: list[list[int]], modulus: int) -> list[list
                 continue
             cand = [f[-1] % modulus]
             for i in combo:
-                cand = _mnorm(_zmul(cand, lifted[i]), modulus)
+                cand = _pmod(_zmul(cand, lifted[i]), modulus)
             cand = _zprimitive([_sym(c, modulus) for c in cand])
             quo = _zdiv_exact(f, cand)
             if quo is not None:
@@ -733,7 +683,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a.monic()
     _, za = a.int_primitive()
     _, zb = b.int_primitive()
-    return _poly_from_z(_zgcd(za, zb)).monic()
+    return Poly.from_int_coeffs(_zgcd(za, zb)).monic()
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
@@ -804,7 +754,7 @@ def factor(p: Poly) -> FactoredPoly:
     for mult, part in squarefree_decomposition(p):
         _, zpart = part.int_primitive()
         for zfac in _factor_squarefree_int(zpart):
-            collected.append((_poly_from_z(zfac).monic(), mult))
+            collected.append((Poly.from_int_coeffs(zfac).monic(), mult))
     collected.sort(key=lambda item: item[0].sort_key())
     return FactoredPoly(unit=Fraction(unit), factors=tuple(collected))
 

@@ -1,6 +1,7 @@
 """CLI behavior: verdicts, exit codes, report determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,15 @@ ID_CYCLE = (
     '{"source": %s, "target": %s,'
     ' "components": [{"a": {"num": "x"}, "b": {"num": "x"}, "mult": 1}]}' % (BOX, BOXDUAL)
 )
+
+# (N1)*(N2)*(N3)*x^2 + 1, where N1*N2*N3 is the product of the odd primes
+# below 20000: no small prime is of good reduction, and the monic form's
+# denominator is far past the height cap
+_PRIMES = [n for n in range(3, 20000, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
+_K = len(_PRIMES) // 3
+PRIMORIAL_POLY = "*".join(
+    f"({math.prod(g)})" for g in (_PRIMES[:_K], _PRIMES[_K : 2 * _K], _PRIMES[2 * _K :])
+) + "*x^2 + 1"
 
 
 @pytest.fixture
@@ -66,9 +76,10 @@ class TestExitCodes:
         assert main(["suite", "--suites", "nope", "--samples", "1"]) == 2
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter, as a user would."""
-    env = dict(os.environ, PYTHONPATH=str(Path(modtriples.__file__).parents[1]))
+def run_cli(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, as a user would, with extra
+    environment variables from env."""
+    env = dict(os.environ, PYTHONPATH=str(Path(modtriples.__file__).parents[1]), **env)
     return subprocess.run(
         [sys.executable, "-m", "modtriples.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
@@ -94,8 +105,9 @@ class TestMalformedInputExitsTwo:
             "(x + 1)^200 * (x + 1)^200",
             "((7^256)^256)^256 * x + 1",
             "1" * 5000 + " + x",
+            PRIMORIAL_POLY,
         ],
-        ids=["deep-nesting", "huge-exponent", "huge-product", "huge-height", "long-integer"],
+        ids=["deep-nesting", "huge-exponent", "huge-product", "huge-height", "long-integer", "primorial-height"],
     )
     def test_bounded_polynomial_literal(self, files, point):
         triple = files("t.json", json.dumps({"plus": f"1*P({point})", "minus": "0"}))
@@ -184,3 +196,15 @@ class TestDeterminism:
         out2.pop("elapsed_s")
         assert out1 == out2
         assert out1["schema"] == 1
+
+    def test_reports_identical_across_hash_seeds(self):
+        # randomized factoring draws only from its own seeded generator
+        argv = ("suite", "--suites", "composition,positions,key-lem", "--samples", "3", "--seed", "1", "--json")
+        reports = []
+        for hash_seed in ("0", "1", "2"):
+            out = run_cli(*argv, PYTHONHASHSEED=hash_seed)
+            assert out.returncode == 0, out.stderr
+            report = json.loads(out.stdout)
+            report.pop("elapsed_s")
+            reports.append(report)
+        assert reports[0] == reports[1] == reports[2]

@@ -1,5 +1,6 @@
 """Text grammar and JSON codecs: round trips and rejection diagnostics."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from modtriples import INFINITY, ClosedPoint, DegenerateInput, Divisor, ModulusTriple, ParseError, Poly
 from modtriples.formats import (
     MAX_DEGREE,
+    MAX_HEIGHT_BITS,
     MAX_NESTING,
     cycle_from_json,
     cycle_to_json,
@@ -24,6 +26,15 @@ from modtriples.formats import (
 )
 
 X = Poly.x()
+
+
+def primorial_point() -> str:
+    """P((N1)*(N2)*(N3)*x^2 + 1), where N1*N2*N3 is the product of the odd
+    primes below 20000, split so that each literal has under 4300 digits."""
+    primes = [n for n in range(3, 20000, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
+    k = len(primes) // 3
+    groups = (primes[:k], primes[k : 2 * k], primes[2 * k :])
+    return "P(" + "*".join(f"({math.prod(g)})" for g in groups) + "*x^2 + 1)"
 
 
 class TestPolyText:
@@ -109,6 +120,21 @@ class TestPointText:
     def test_round_trip(self):
         for p in [INFINITY, ClosedPoint.rational(5), ClosedPoint.finite(X**2 + Poly.one())]:
             assert parse_point(point_to_text(p)) == p
+
+    def test_height_at_the_cap(self):
+        top = 2**MAX_HEIGHT_BITS - 1
+        for text in [f"P({top})", f"P(x - {top})", f"P({top}*x + 1)", f"P(x^2 + 1/{top})"]:
+            point = parse_point(text)
+            assert parse_point(point_to_text(point)) == point
+        over = 2**MAX_HEIGHT_BITS
+        for text in [f"P({over})", f"P(x - {over})", f"P({over}*x + 1)", f"P(x^2 + 1/{over})"]:
+            with pytest.raises(ParseError, match="bits"):
+                parse_point(text)
+
+    def test_primorial_height_is_a_parse_error(self):
+        # the monic form x^2 + 1/N has a denominator of about 28600 bits
+        with pytest.raises(ParseError, match="bits"):
+            parse_point(primorial_point())
 
 
 class TestDivisorText:

@@ -1,5 +1,7 @@
 """Kernel tests: gcd, squarefree decomposition, factorization, resultants."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from modtriples import DegenerateInput, Poly, factor, poly_gcd, resultant, squarefree_decomposition
 from modtriples.oracles import verify_irreducible
+from modtriples.ratpoly import _pddf, _pmonic
 
 X = Poly.x()
 ONE = Poly.one()
@@ -15,6 +18,18 @@ ONE = Poly.one()
 
 def c(v) -> Poly:
     return Poly.constant(v)
+
+
+def odd_primorial(limit: int) -> int:
+    """The product of the odd primes below limit."""
+    return math.prod(n for n in range(3, limit, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2)))
+
+
+def eisenstein(q: int, d: int, rng: random.Random) -> Poly:
+    """A monic degree-d polynomial, irreducible by Eisenstein's criterion at q."""
+    low = [q * rng.randint(-3, 3) for _ in range(d)]
+    low[0] = q * rng.choice([u for u in range(-4, 5) if u % q])
+    return Poly(low + [1])
 
 
 small_polys = st.builds(
@@ -130,6 +145,45 @@ class TestFactor:
             return
         out = factor(prod)
         assert out.expand() == prod
+
+    def test_swinnerton_dyer_octic(self):
+        # irreducible, yet it splits into factors of degree <= 2 mod every
+        # prime, so no degree pattern proves it: lifting and recombination do
+        sd = Poly((576, 0, -960, 0, 352, 0, -40, 0, 1))
+        ints = [int(v) for v in sd.coeffs]
+        for p in (7, 11, 13, 17, 19):  # 2, 3 and 5 divide the discriminant
+            assert max(d for d, _ in _pddf(_pmonic(ints, p), p)) <= 2
+        assert factor(sd).factors == ((sd, 1),)
+
+    def test_equal_degree_split(self):
+        quadratics = [X**2 + c(k) for k in (1, 2, 3, 5, 7, 11)]
+        prod = ONE
+        for q in quadratics:
+            prod = prod * q
+        out = factor(prod)
+        assert out.factors == tuple((q, 1) for q in sorted(quadratics, key=Poly.sort_key))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [((40, 1),), ((40, 1), (3, 2)), ((17, 1), (11, 2), (6, 3)), ((1, 3), (2, 2), (24, 1), (9, 1))],
+    )
+    def test_eisenstein_products(self, shape):
+        rng = random.Random(sum(d * m for d, m in shape))
+        parts = [(eisenstein(q, d, rng), m) for q, (d, m) in zip((2, 3, 5, 7), shape)]
+        prod = c(Fraction(-5, 3))
+        for q, m in parts:
+            prod = prod * q**m
+        out = factor(prod)
+        assert out.unit == Fraction(-5, 3)
+        assert out.factors == tuple(sorted(parts, key=lambda item: item[0].sort_key()))
+
+    @pytest.mark.parametrize("degree,tail", [(2, 1), (4, -1)])
+    def test_no_small_prime_of_good_reduction(self, degree, tail):
+        # every odd prime below 20000 divides the leading coefficient
+        n = odd_primorial(20000)
+        out = factor(Poly([tail] + [0] * (degree - 1) + [n]))
+        assert out.unit == n
+        assert out.factors == ((Poly([Fraction(tail, n)] + [0] * (degree - 1) + [1]), 1),)
 
     def test_outputs_certified_irreducible(self):
         samples = [
