@@ -23,9 +23,13 @@ from typing import Iterable, Iterator, Optional
 from .errors import DegenerateInput, NotEffective
 from .ratpoly import (
     Poly,
+    _monic_from_ints,
+    _zadd,
     _zdiv_exact,
     _zgcd,
+    _zmul,
     _zprimitive,
+    _zyun,
     factor,
     is_irreducible,
     poly_gcd,
@@ -34,9 +38,12 @@ from .ratpoly import (
 
 
 class ClosedPoint:
-    """A closed point of P^1_Q: a monic irreducible polynomial, or infinity."""
+    """A closed point of P^1_Q: a monic irreducible polynomial, or infinity.
 
-    __slots__ = ("minimal_poly",)
+    The hash and the sort key are computed once, at construction.
+    """
+
+    __slots__ = ("minimal_poly", "_hash", "_key")
 
     def __init__(self, minimal_poly: Optional[Poly], _validated: bool = False):
         if minimal_poly is not None and not _validated:
@@ -46,6 +53,10 @@ class ClosedPoint:
             if not is_irreducible(minimal_poly):
                 raise DegenerateInput("point polynomial is reducible")
         object.__setattr__(self, "minimal_poly", minimal_poly)
+        object.__setattr__(self, "_hash", hash(("pt", minimal_poly)))
+        object.__setattr__(
+            self, "_key", (0,) if minimal_poly is None else (1,) + minimal_poly.sort_key()
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("ClosedPoint is immutable")
@@ -83,15 +94,19 @@ class ClosedPoint:
         return -self.minimal_poly[0]
 
     def sort_key(self) -> tuple:
-        if self.minimal_poly is None:
-            return (0,)
-        return (1,) + self.minimal_poly.sort_key()
+        return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ClosedPoint) and self.minimal_poly == other.minimal_poly
+        if self is other:
+            return True
+        return (
+            isinstance(other, ClosedPoint)
+            and self._hash == other._hash
+            and self.minimal_poly == other.minimal_poly
+        )
 
     def __hash__(self) -> int:
-        return hash(("pt", self.minimal_poly))
+        return self._hash
 
     def __repr__(self) -> str:
         from .formats import point_to_text
@@ -102,10 +117,19 @@ class ClosedPoint:
 INFINITY = ClosedPoint(None)
 
 
-class Divisor:
-    """Finitely supported integer-valued function on closed points."""
+def _point_order(entry: tuple[ClosedPoint, int]) -> tuple:
+    return entry[0]._key
 
-    __slots__ = ("entries",)
+
+class Divisor:
+    """Finitely supported integer-valued function on closed points.
+
+    ``entries`` lists the (point, multiplicity) pairs with nonzero
+    multiplicity in point order; a point -> multiplicity dict beside it
+    makes ``multiplicity`` O(1).
+    """
+
+    __slots__ = ("entries", "_mult")
 
     def __init__(self, entries: Iterable[tuple[ClosedPoint, int]] = ()):
         acc: dict[ClosedPoint, int] = {}
@@ -113,10 +137,19 @@ class Divisor:
             mult = int(mult)
             if mult:
                 acc[point] = acc.get(point, 0) + mult
-        cleaned = tuple(
-            sorted(((p, m) for p, m in acc.items() if m), key=lambda it: it[0].sort_key())
-        )
-        object.__setattr__(self, "entries", cleaned)
+        self._set(acc)
+
+    def _set(self, acc: dict[ClosedPoint, int]) -> None:
+        entries = tuple(sorted(((p, m) for p, m in acc.items() if m), key=_point_order))
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_mult", dict(entries))
+
+    @classmethod
+    def _from_dict(cls, acc: dict[ClosedPoint, int]) -> "Divisor":
+        # trusted: integer multiplicities; zeros are dropped here
+        self = object.__new__(cls)
+        self._set(acc)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
@@ -139,12 +172,11 @@ class Divisor:
         return not self.entries
 
     def multiplicity(self, point: ClosedPoint) -> int:
-        for p, m in self.entries:
-            if p == point:
-                return m
-        return 0
+        return self._mult.get(point, 0)
 
     def support(self) -> frozenset[ClosedPoint]:
+        # built point by point in point order: a set's iteration order
+        # depends on how its table grew
         return frozenset(p for p, _ in self.entries)
 
     @property
@@ -167,14 +199,20 @@ class Divisor:
 
     # -- arithmetic -------------------------------------------------------
 
+    def _combine(self, other: "Divisor", sign: int) -> "Divisor":
+        acc = dict(self._mult)
+        for p, m in other._mult.items():
+            acc[p] = acc.get(p, 0) + sign * m
+        return Divisor._from_dict(acc)
+
     def __add__(self, other: "Divisor") -> "Divisor":
-        return Divisor(self.entries + other.entries)
+        return self._combine(other, 1)
 
     def __neg__(self) -> "Divisor":
-        return Divisor((p, -m) for p, m in self.entries)
+        return Divisor._from_dict({p: -m for p, m in self._mult.items()})
 
     def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, k: int) -> "Divisor":
         return Divisor((p, k * m) for p, m in self.entries)
@@ -182,7 +220,11 @@ class Divisor:
     __rmul__ = __mul__
 
     def __le__(self, other: "Divisor") -> bool:
-        return (other - self).is_effective
+        # other - self is effective: compare on self's support, then the rest of other's
+        mine, theirs = self._mult, other._mult
+        return all(theirs.get(p, 0) >= m for p, m in mine.items()) and all(
+            m > 0 or p in mine for p, m in theirs.items()
+        )
 
     def __iter__(self) -> Iterator[tuple[ClosedPoint, int]]:
         return iter(self.entries)
@@ -425,8 +467,6 @@ def fiber_data(f: RationalMap, point: ClosedPoint) -> tuple[Poly, int]:
 
 @lru_cache(maxsize=65536)
 def _fiber_cached(f: RationalMap, point: ClosedPoint) -> tuple[Poly, int]:
-    from .ratpoly import _zadd, _zmul
-
     d = f.degree
     if point.is_infinity:
         return f.den, d - int(f.den.degree)
@@ -637,7 +677,11 @@ def squarefree_part(p: Poly) -> Poly:
         raise DegenerateInput("zero polynomial")
     if p.is_constant:
         return Poly.one()
-    return (p // poly_gcd(p, p.derivative())).monic()
+    _, f = p.int_primitive()
+    acc = [1]
+    for _, part in _zyun(f):
+        acc = _zmul(acc, part)
+    return _monic_from_ints(acc)
 
 
 def points_locus(points: Iterable[ClosedPoint]) -> Locus:

@@ -6,12 +6,14 @@ exact.  Rational numbers are ``fractions.Fraction`` (always in lowest
 terms, positive denominator), aliased as ``Rat``.
 
 Factorization follows the classic route: squarefree decomposition
-(Yun); distinct-degree factorization modulo a few small primes of good
-reduction, whose degree patterns often prove irreducibility outright
-(Musser); Cantor-Zassenhaus equal-degree splitting at the prime with
-the fewest factors; quadratic Hensel lifting; and factor recombination,
-exponential in the worst case, which is fine at desk scale (degrees
-stay small and inputs are not adversarial).
+(Yun, run over Z[x] on primitive integer coefficient lists, since it
+needs only gcds and exact quotients); distinct-degree factorization
+modulo a few small primes of good reduction, whose degree patterns
+often prove irreducibility outright (Musser); Cantor-Zassenhaus
+equal-degree splitting at the prime with the fewest factors; quadratic
+Hensel lifting; and factor recombination, exponential in the worst
+case, which is fine at desk scale (degrees stay small and inputs are
+not adversarial).
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ class Poly:
 
     Coefficients are stored ascending; the highest stored index is
     nonzero unless the polynomial is zero (empty tuple).  Instances are
-    immutable and hashable, so they can live in divisor supports.
+    immutable and hashable, so they can live in divisor supports; the
+    hash, ``hash(coeffs)``, is computed on first use and kept.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [Fraction(c) for c in coeffs]
@@ -173,9 +176,6 @@ class Poly:
             acc = acc * value + c
         return acc
 
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     def monic(self) -> "Poly":
         if self.is_zero:
             raise DegenerateInput("zero polynomial has no monic form")
@@ -249,10 +249,24 @@ class Poly:
     # -- comparison / display -------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        if self is other:
+            return True
+        if not isinstance(other, Poly):
+            return False
+        try:  # hashes that are already cached settle most inequalities
+            if self._hash != other._hash:
+                return False
+        except AttributeError:
+            pass
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.coeffs)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def sort_key(self) -> tuple:
         # degree first, then coefficients from the top down
@@ -387,6 +401,42 @@ def _zgcd(a: list[int], b: list[int]) -> list[int]:
         if delta:
             h = g**delta // h ** (delta - 1) if delta > 1 else g
     # unreachable
+
+
+def _zderiv(a: list[int]) -> list[int]:
+    return _trim([i * c for i, c in enumerate(a)][1:])
+
+
+def _zyun(f: list[int]) -> list[tuple[int, list[int]]]:
+    """Yun's squarefree decomposition of a primitive f of degree >= 1.
+
+    Returns (multiplicity, part) pairs with increasing multiplicities and
+    f = ±prod(part^multiplicity); the parts are primitive, squarefree,
+    pairwise coprime and have positive leading coefficients.  Every step
+    divides b and d by the same polynomial, so the ratio d / b that drives
+    the algorithm ignores integer contents, and every quotient is exact in
+    Z[x] because the gcds are primitive (Gauss's lemma).
+    """
+    df = _zderiv(f)
+    a = _zgcd(f, df)
+    b = _zdiv_exact(f, a)
+    d = _zsub(_zdiv_exact(df, a), _zderiv(b))
+    out = []
+    mult = 1
+    while len(b) > 1:
+        g = _zgcd(b, d)
+        if len(g) > 1:
+            out.append((mult, g))
+        b = _zdiv_exact(b, g)
+        d = _zsub(_zdiv_exact(d, g), _zderiv(b))
+        mult += 1
+    return out
+
+
+def _monic_from_ints(a: list[int]) -> Poly:
+    """The monic rational multiple of a nonzero integer polynomial."""
+    lc = a[-1]
+    return Poly._raw(tuple(Fraction(c, lc) for c in a))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +656,7 @@ def _factor_squarefree_int(f: list[int]) -> list[list[int]]:
     n = len(f) - 1
     if n <= 1:
         return [f]
-    deriv = _trim([i * c for i, c in enumerate(f)][1:])
+    deriv = _zderiv(f)
     # primes of good reduction: lc(f) survives and f stays squarefree
     good = (p for p in _primes() if f[-1] % p and len(_pgcd(f, deriv, p)) == 1)
     # The degree of a factor over Q is a sum of factor degrees mod every
@@ -683,7 +733,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a.monic()
     _, za = a.int_primitive()
     _, zb = b.int_primitive()
-    return Poly.from_int_coeffs(_zgcd(za, zb)).monic()
+    return _monic_from_ints(_zgcd(za, zb))
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
@@ -696,26 +746,8 @@ def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
         raise DegenerateInput("cannot decompose the zero polynomial")
     if p.is_constant:
         return []
-    f = p.monic()
-    df = f.derivative()
-    a = poly_gcd(f, df)
-    b = f // a
-    c = df // a
-    d = c - b.derivative()
-    out = []
-    mult = 1
-    while True:
-        if b.is_constant:
-            break
-        g = poly_gcd(b, d) if not d.is_zero else b.monic()
-        if not g.is_constant:
-            out.append((mult, g))
-        b2 = b // g
-        c2 = d // g
-        d = c2 - b2.derivative()
-        b = b2
-        mult += 1
-    return out
+    _, f = p.int_primitive()
+    return [(mult, _monic_from_ints(part)) for mult, part in _zyun(f)]
 
 
 @dataclass(frozen=True)
@@ -751,10 +783,10 @@ def factor(p: Poly) -> FactoredPoly:
     if p.is_constant:
         return FactoredPoly(unit=unit, factors=())
     collected: list[tuple[Poly, int]] = []
-    for mult, part in squarefree_decomposition(p):
-        _, zpart = part.int_primitive()
-        for zfac in _factor_squarefree_int(zpart):
-            collected.append((Poly.from_int_coeffs(zfac).monic(), mult))
+    _, f = p.int_primitive()
+    for mult, part in _zyun(f):
+        for zfac in _factor_squarefree_int(part):
+            collected.append((_monic_from_ints(zfac), mult))
     collected.sort(key=lambda item: item[0].sort_key())
     return FactoredPoly(unit=Fraction(unit), factors=tuple(collected))
 

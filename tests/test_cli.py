@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,59 @@ class TestMalformedInputExitsTwo:
         out = run_cli("check", "admissible", "--cycle", cycle)
         assert out.returncode == 2
         assert "Traceback" not in out.stdout + out.stderr
+
+
+SQ_CYCLE = (
+    '{"source": {"total": {"kind": "open", "boundary": ["P(inf)"]}, "plus": "0", "minus": "0"},'
+    ' "target": %s,'
+    ' "components": [{"a": {"num": "x"}, "b": {"num": "x^2"}, "mult": 1}]}' % BOX
+)
+OPEN_TRIPLE = (
+    '{"total": {"kind": "open", "boundary": ["P(x^2+1)", "P(inf)"]},'
+    ' "plus": "2*P(x^2 - 2) + 1*P(1/2)", "minus": "1*P(0)"}'
+)
+# JSON punctuation, polynomial and point syntax, letters of the keys,
+# and a few characters no input should contain
+FUZZ_ALPHABET = '{}[]":,. 0123456789-+*/^()xPinf' + "kdopermultnumab" + "\\'\x00é"
+
+
+class TestFuzzedJson:
+    """Character-level mutations of valid inputs, run in-process: every
+    outcome is an exit code of 0, 1 or 2, never an escaping exception."""
+
+
+    @staticmethod
+    def mutate(text: str, rng: random.Random) -> str:
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                text = text[:i] + rng.choice(FUZZ_ALPHABET) + text[i:]
+            elif op == 1:
+                text = text[:i] + text[i + 1 :]
+            else:
+                text = text[:i] + rng.choice(FUZZ_ALPHABET) + text[i + 1 :]
+        return text
+
+    @pytest.mark.parametrize(
+        "command,valid",
+        [
+            (("check", "admissible", "--cycle"), ID_CYCLE),
+            (("min-compactify", "--cycle"), SQ_CYCLE),
+            (("check", "class", "--triple"), BOX),
+            (("apply", "separate", "--triple"), OPEN_TRIPLE),
+        ],
+        ids=["admissible", "min-compactify", "class", "separate"],
+    )
+    def test_mutations_exit_cleanly(self, files, capsys, command, valid):
+        rng = random.Random(" ".join(command))
+        for trial in range(100):
+            text = self.mutate(valid, rng)
+            path = files("fuzz.json", text)
+            code = main([*command, path])
+            out = capsys.readouterr()
+            assert code in (0, 1, 2), (trial, text)
+            assert "Traceback" not in out.out + out.err, (trial, text)
 
 
 class TestCommands:

@@ -1,6 +1,7 @@
 """Divisor calculus on the line: pullback, pushforward, minimum, splitting."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -195,3 +196,84 @@ class TestOrderReport:
         rep = divisor_order(Divisor([(P0, 3), (INFINITY, 2)]), Divisor.zero())
         assert rep.reduced_1 == Divisor([(P0, 1), (INFINITY, 1)])
         assert rep.support_1 == frozenset([P0, INFINITY])
+
+
+class TestCachedHashes:
+    """Cached hashes and the point index must not change what is equal."""
+
+    def test_equal_polys_hash_alike(self):
+        coeffs = (Fraction(-2), Fraction(0), Fraction(1))
+        made = [
+            Poly((-2, 0, 1)),
+            Poly._raw(coeffs),
+            Poly.from_int_coeffs([-2, 0, 1]),
+            X * X - Poly.constant(2),
+            (X - ONE) * (X + ONE) - ONE,
+            (X**2).scale(3).monic() - Poly.constant(2),
+        ]
+        for p in made:
+            assert p == made[0] and made[0] == p
+            assert hash(p) == hash(made[0]) == hash(coeffs)
+            assert hash(p) == hash(p.coeffs)  # stable once cached
+        assert Poly((1, 1)) != Poly((1, 2)) and Poly((1,)) != Poly((1, 1))
+
+    def test_point_hash_and_key(self):
+        for p in (SQRT2, P0, ClosedPoint.finite(X.scale(2) - Poly.constant(6))):
+            assert hash(p) == hash(("pt", p.minimal_poly))
+            assert p.sort_key() == (1,) + p.minimal_poly.sort_key()
+        assert hash(INFINITY) == hash(("pt", None)) and INFINITY.sort_key() == (0,)
+        assert ClosedPoint.finite(X**2 - Poly.constant(2)) == SQRT2
+
+    def test_divisor_independent_of_entry_order(self):
+        rng = random.Random(11)
+        pool = [INFINITY, P0, P1, PM1, P2, SQRT2, ClosedPoint.finite(X**2 + ONE)]
+        for _ in range(50):
+            pairs = [(rng.choice(pool), rng.randint(-3, 3)) for _ in range(rng.randint(0, 8))]
+            # entries that cancel leave no trace
+            cancel = [(rng.choice(pool), 4), (rng.choice(pool), -4)]
+            cancel.append((cancel[0][0], -4))
+            cancel.append((cancel[1][0], 4))
+            base = Divisor(pairs)
+            for _ in range(3):
+                shuffled = pairs + cancel
+                rng.shuffle(shuffled)
+                other = Divisor(shuffled)
+                assert other.entries == base.entries
+                assert other == base and hash(other) == hash(base)
+
+    def test_multiplicity_matches_scan(self):
+        rng = random.Random(12)
+        pool = [INFINITY, P0, P1, PM1, P2, SQRT2, ClosedPoint.finite(X**2 + ONE)]
+        for _ in range(50):
+            d = Divisor((rng.choice(pool[:5]), rng.randint(-3, 3)) for _ in range(6))
+            for point in pool:  # the last two are never in the support
+                scan = next((m for p, m in d.entries if p == point), 0)
+                assert d.multiplicity(point) == scan
+
+    def test_arithmetic_matches_pointwise(self):
+        rng = random.Random(13)
+        pool = [INFINITY, P0, P1, PM1, P2, SQRT2]
+
+        def rand_div():
+            return Divisor((rng.choice(pool), rng.randint(-2, 3)) for _ in range(rng.randint(0, 5)))
+
+        for _ in range(100):
+            a, b = rand_div(), rand_div()
+            for result, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
+                expected = Divisor((p, op(a.multiplicity(p), b.multiplicity(p))) for p in pool)
+                assert result == expected
+            assert -a == Divisor((p, -m) for p, m in a.entries)
+            assert (a <= b) == all(a.multiplicity(p) <= b.multiplicity(p) for p in pool)
+            assert (a + -a).is_zero
+
+    @pytest.mark.parametrize("name", ["minimal_poly", "_hash", "_key", "extra"])
+    def test_point_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(SQRT2, name, None)
+
+    @pytest.mark.parametrize("name", ["entries", "_mult", "extra"])
+    def test_divisor_immutable(self, name):
+        d = Divisor([(P0, 1)])
+        with pytest.raises(AttributeError):
+            setattr(d, name, None)
+        assert d.entries == ((P0, 1),) and d.multiplicity(P0) == 1

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modtriples import DegenerateInput, Poly, factor, poly_gcd, resultant, squarefree_decomposition
+from modtriples.divisors import squarefree_part
 from modtriples.oracles import verify_irreducible
 from modtriples.ratpoly import _pddf, _pmonic
 
@@ -106,6 +107,75 @@ class TestSquarefree:
         for m, part in parts:
             rebuilt = rebuilt * part**m
         assert rebuilt == p
+
+
+def cyclotomic(n: int) -> Poly:
+    """The n-th cyclotomic polynomial, by dividing x^n - 1 by the others."""
+    out = X**n - ONE
+    for d in range(1, n):
+        if n % d == 0:
+            out = out // cyclotomic(d)
+    return out
+
+
+def product(parts) -> Poly:
+    out = ONE
+    for q in parts:
+        out = out * q
+    return out
+
+
+class TestYun:
+    """Exact parts of squarefree_decomposition, factor and squarefree_part on
+    inputs whose factorization is known by construction."""
+
+    @staticmethod
+    def check(p: Poly, unit: Fraction, parts: dict) -> None:
+        """parts maps each monic irreducible factor of p to its multiplicity."""
+        by_mult: dict = {}
+        for q, m in parts.items():
+            by_mult.setdefault(m, []).append(q)
+        expected = [(m, product(sorted(qs, key=Poly.sort_key))) for m, qs in sorted(by_mult.items())]
+        assert squarefree_decomposition(p) == expected
+        out = factor(p)
+        assert out.unit == unit
+        assert out.factors == tuple(sorted(parts.items(), key=lambda item: item[0].sort_key()))
+        assert squarefree_part(p) == product(parts)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_products(self, seed):
+        rng = random.Random(seed)
+        unit = Fraction(rng.choice([-7, -2, -1, 1, 3, 5]), rng.choice([1, 2, 9, 10]))
+        # multiplicities with gaps, e.g. 1, 3 and 5 but no 2 or 4
+        mults = sorted(rng.sample(range(1, 6), rng.randint(1, 3)))
+        parts: dict = {}
+        for q_prime in (2, 3, 5, 7, 11):
+            q = eisenstein(q_prime, rng.randint(1, 6), rng)
+            if q not in parts:
+                parts[q] = rng.choice(mults)
+        p = c(unit)
+        for q, m in parts.items():
+            p = p * q**m
+        self.check(p, unit, parts)
+
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (6, 1), (12, 3), (17, 2), (24, 2), (30, 1), (30, 2)])
+    def test_cyclotomic_powers(self, n, k):
+        parts = {cyclotomic(d): k for d in range(1, n + 1) if n % d == 0}
+        self.check((X**n - ONE) ** k, Fraction(1), parts)
+
+    def test_degree_above_100(self):
+        rng = random.Random(101)
+        parts = {eisenstein(q, d, rng): m for q, d, m in ((2, 6, 5), (3, 6, 4), (5, 5, 3), (7, 4, 5), (11, 5, 3))}
+        p = c(Fraction(-3, 4))
+        for q, m in parts.items():
+            p = p * q**m
+        assert p.degree > 100
+        self.check(p, Fraction(-3, 4), parts)
+
+    def test_degree_120_cyclotomic_fourth_power(self):
+        p = (X**30 - ONE) ** 4
+        assert p.degree == 120
+        self.check(p, Fraction(1), {cyclotomic(d): 4 for d in (1, 2, 3, 5, 6, 10, 15, 30)})
 
 
 class TestFactor:
