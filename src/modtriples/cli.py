@@ -13,6 +13,7 @@ arguments accept ``-`` for standard input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -298,6 +299,7 @@ def _add_json(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit the machine-readable report")
 
 
+@functools.cache  # parsing leaves the tree unchanged, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="modtriples", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

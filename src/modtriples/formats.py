@@ -32,7 +32,7 @@ from .cycles import Component, Cycle
 from .divisors import INFINITY, ClosedPoint, CurveSpace, Divisor, RationalMap
 from .errors import ParseError
 from .functors import IYObject, MlogObject, NePair
-from .ratpoly import Poly
+from .ratpoly import Poly, _zadd, _zmul, _zpow, _zsub
 from .triples import ModulusPair, ModulusTriple, TripleSum
 
 # ---------------------------------------------------------------------------
@@ -94,52 +94,58 @@ class _Tokens:
         return self.pos >= len(self.text)
 
 
-def _parse_expr(tk: _Tokens) -> Poly:
-    sign = 1
+# The parser works on ascending coefficient lists, trimmed like Poly's
+# (zero is []): ints, and Fractions only where an a/b literal enters.
+# One Poly is built at the end.
+
+
+def _parse_expr(tk: _Tokens) -> list:
+    negate = False
     if tk.peek() == "-":
         tk.take("-")
-        sign = -1
+        negate = True
     elif tk.peek() == "+":
         tk.take("+")
-    acc = _parse_term(tk).scale(sign)
+    acc = _parse_term(tk)
+    if negate:
+        acc = [-c for c in acc]
     while tk.peek() in ("+", "-"):
         op = tk.peek()
         tk.take(op)
         term = _parse_term(tk)
-        acc = acc + term if op == "+" else acc - term
+        acc = _zadd(acc, term) if op == "+" else _zsub(acc, term)
     return acc
 
 
-def _parse_term(tk: _Tokens) -> Poly:
+def _parse_term(tk: _Tokens) -> list:
     acc = _parse_power(tk)
     while tk.peek() == "*":
         tk.take("*")
         rhs = _parse_power(tk)
-        if acc.degree + rhs.degree > MAX_DEGREE:
+        if acc and rhs and len(acc) + len(rhs) - 2 > MAX_DEGREE:
             raise tk.error(f"product of degree above {MAX_DEGREE}")
-        acc = acc * rhs
+        acc = _zmul(acc, rhs)
     return acc
 
 
-def _parse_power(tk: _Tokens) -> Poly:
+def _parse_power(tk: _Tokens) -> list:
     base = _parse_atom(tk)
     if tk.peek() == "^":
         tk.take("^")
         exp = tk.integer()
         if exp > MAX_DEGREE:
             raise tk.error(f"exponent above {MAX_DEGREE}")
-        if max(base.degree, 0) * exp > MAX_DEGREE:
+        if max(len(base) - 1, 0) * exp > MAX_DEGREE:
             raise tk.error(f"power of degree above {MAX_DEGREE}")
-        bits = max(
-            (c.numerator.bit_length() + c.denominator.bit_length() for c in base.coeffs), default=0
-        )
+        # ints have numerator and denominator too
+        bits = max((c.numerator.bit_length() + c.denominator.bit_length() for c in base), default=0)
         if bits * exp > MAX_HEIGHT_BITS:
             raise tk.error(f"power with coefficients above {MAX_HEIGHT_BITS} bits")
-        return base**exp
+        return _zpow(base, exp)
     return base
 
 
-def _parse_atom(tk: _Tokens) -> Poly:
+def _parse_atom(tk: _Tokens) -> list:
     ch = tk.peek()
     if ch == "(":
         tk.take("(")
@@ -152,7 +158,7 @@ def _parse_atom(tk: _Tokens) -> Poly:
         return inner
     if ch == "x":
         tk.take("x")
-        return Poly.x()
+        return [0, 1]
     if ch.isdigit():
         num = tk.integer()
         if tk.peek() == "/":
@@ -160,17 +166,17 @@ def _parse_atom(tk: _Tokens) -> Poly:
             den = tk.integer()
             if den == 0:
                 raise tk.error("zero denominator")
-            return Poly.constant(Fraction(num, den))
-        return Poly.constant(num)
+            return [Fraction(num, den)] if num else []
+        return [num] if num else []
     raise tk.error("expected a number, x, or a parenthesized expression")
 
 
 def parse_poly(text: str) -> Poly:
     tk = _Tokens(_string(text))
-    poly = _parse_expr(tk)
+    coeffs = _parse_expr(tk)
     if not tk.at_end():
         raise tk.error("trailing input after polynomial")
-    return poly
+    return Poly(coeffs)
 
 
 def _frac_text(c: Fraction) -> str:

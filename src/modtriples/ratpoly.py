@@ -154,15 +154,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # the square after the top bit would go unused
-                base = base * base
-        return result
+        return Poly(_zpow(list(self.coeffs), n))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k."""
@@ -233,7 +225,7 @@ class Poly:
         denom_lcm = 1
         for c in self.coeffs:
             denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in self.coeffs]
+        ints = [c.numerator * (denom_lcm // c.denominator) for c in self.coeffs]
         g = 0
         for v in ints:
             g = math.gcd(g, v)
@@ -269,8 +261,13 @@ class Poly:
             return h
 
     def sort_key(self) -> tuple:
-        # degree first, then coefficients from the top down
-        return (len(self.coeffs), tuple(reversed(self.coeffs)))
+        # degree first, then coefficients from the top down; integral ones
+        # as ints, which order like the Fractions they equal but compare
+        # without Fraction's Python-level operators
+        return (
+            len(self.coeffs),
+            tuple(c.numerator if c.denominator == 1 else c for c in reversed(self.coeffs)),
+        )
 
     def __repr__(self) -> str:
         from .formats import poly_to_text  # local import avoids a cycle
@@ -279,7 +276,8 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# integer-coefficient helpers (dense lists of python ints, ascending)
+# integer-coefficient helpers (dense lists of python ints, ascending); the
+# sums and products below also serve lists that mix in Fractions
 # ---------------------------------------------------------------------------
 
 
@@ -306,6 +304,17 @@ def _zsub(a: list[int], b: list[int]) -> list[int]:
     for i, c in enumerate(b):
         out[i] -= c
     return _trim(out)
+
+
+def _zpow(a: list[int], n: int) -> list[int]:
+    result = [1]
+    while n:
+        if n & 1:
+            result = _zmul(result, a)
+        n >>= 1
+        if n:  # the square after the top bit would go unused
+            a = _zmul(a, a)
+    return result
 
 
 def _zcontent(a: list[int]) -> int:
@@ -792,11 +801,26 @@ def factor(p: Poly) -> FactoredPoly:
 
 
 def is_irreducible(p: Poly) -> bool:
-    """True if p is irreducible over Q (degree >= 1)."""
-    if p.is_zero or p.is_constant:
+    """True if p is irreducible over Q (degree >= 1).
+
+    Decided on the primitive integer form without a full factorization:
+    a quadratic c + b*x + a*x^2 is irreducible exactly when b^2 - 4ac is
+    not a square, and from degree 3 a squarefree f goes straight to the
+    factoring kernel, whose degree patterns usually certify it unlifted.
+    """
+    n = len(p.coeffs) - 1
+    if n < 1:
         return False
-    parts = factor(p)
-    return len(parts.factors) == 1 and parts.factors[0][1] == 1
+    if n == 1:
+        return True
+    _, f = p.int_primitive()
+    if n == 2:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    if _zgcd(f, _zderiv(f)) != [1]:
+        return False
+    return len(_factor_squarefree_int(f)) == 1
 
 
 def resultant(a: Poly, b: Poly) -> Fraction:

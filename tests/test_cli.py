@@ -76,6 +76,25 @@ class TestExitCodes:
     def test_unknown_suite(self, capsys):
         assert main(["suite", "--suites", "nope", "--samples", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([], "modtriples: error: the following arguments are required: command"),
+            (["check", "admissible"], "admissible: error: the following arguments are required: --cycle"),
+            (["suite", "--samples", "abc"], "suite: error: argument --samples: invalid int value: 'abc'"),
+            (["check", "bogus"], "check: error: argument predicate: invalid choice: 'bogus'"),
+            (["compose", "--first", "a", "--second", "b", "-z"], "modtriples: error: unrecognized arguments: -z"),
+        ],
+    )
+    def test_usage_errors(self, capsys, argv, message):
+        # the parser is built once per process, so a repeated call must fail alike
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: modtriples") and message in err
+
 
 def run_cli(*argv: str, **env: str) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter, as a user would, with extra

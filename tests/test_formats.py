@@ -1,6 +1,7 @@
 """Text grammar and JSON codecs: round trips and rejection diagnostics."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,69 @@ class TestPolyText:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_poly("x x")
+
+
+def random_expression(rng: random.Random, depth: int):
+    """Random polynomial text in the parser's grammar, with a function that
+    evaluates the same expression tree directly in Fractions."""
+
+    def space() -> str:
+        return rng.choice(["", "", " "])
+
+    def atom(depth: int):
+        kind = rng.choice(["x", "int", "frac", "paren"] if depth else ["x", "int", "frac"])
+        if kind == "x":
+            return "x", lambda v: v
+        if kind == "int":
+            n = rng.randint(0, 12)
+            return str(n), lambda v: Fraction(n)
+        if kind == "frac":
+            num, den = rng.randint(0, 9), rng.randint(1, 9)
+            return f"{num}/{den}", lambda v: Fraction(num, den)
+        text, f = expr(depth - 1)
+        return f"({space()}{text}{space()})", f
+
+    def power(depth: int):
+        text, f = atom(depth)
+        if rng.random() < 0.3:
+            k = rng.randint(0, 4)
+            return f"{text}{space()}^{space()}{k}", lambda v: f(v) ** k
+        return text, f
+
+    def term(depth: int):
+        text, f = power(depth)
+        for _ in range(rng.randint(0, 2)):
+            rtext, g = power(depth)
+            text, f = f"{text}{space()}*{space()}{rtext}", (lambda a, b: lambda v: a(v) * b(v))(f, g)
+        return text, f
+
+    def expr(depth: int):
+        sign = rng.choice(["", "", "-", "+"])
+        text, f = term(depth)
+        text = f"{sign}{space()}{text}" if sign else text
+        if sign == "-":
+            f = (lambda a: lambda v: -a(v))(f)
+        for _ in range(rng.randint(0, 3)):
+            op = rng.choice("+-")
+            rtext, g = term(depth)
+            text = f"{text}{space()}{op}{space()}{rtext}"
+            f = (lambda a, b, s: lambda v: a(v) + s * b(v))(f, g, 1 if op == "+" else -1)
+        return text, f
+
+    return expr(depth)
+
+
+class TestPolyTextDifferential:
+    POINTS = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(-7, 5))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_direct_evaluation(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            text, value = random_expression(rng, depth=rng.randint(0, 2))
+            p = parse_poly(text)
+            for v in self.POINTS:
+                assert p(v) == value(v), (text, v)
 
 
 class TestPolyTextCaps:

@@ -8,9 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modtriples import DegenerateInput, Poly, factor, poly_gcd, resultant, squarefree_decomposition
+from modtriples import (
+    ClosedPoint,
+    DegenerateInput,
+    Poly,
+    factor,
+    is_irreducible,
+    poly_gcd,
+    resultant,
+    squarefree_decomposition,
+)
 from modtriples.divisors import squarefree_part
-from modtriples.oracles import verify_irreducible
+from modtriples.oracles import OracleBudgetExceeded, verify_irreducible
 from modtriples.ratpoly import _pddf, _pmonic
 
 X = Poly.x()
@@ -266,6 +275,130 @@ class TestFactor:
         for p in samples:
             for q, _ in factor(p):
                 assert verify_irreducible(q)
+
+
+class TestIsIrreducible:
+    """is_irreducible decides from the integer form without factor: the
+    independent oracle (degree <= 6) and factor (degree <= 12) are the
+    references."""
+
+    @staticmethod
+    def by_factor(p: Poly) -> bool:
+        if p.is_constant:
+            return False
+        parts = factor(p).factors
+        return len(parts) == 1 and parts[0][1] == 1
+
+    def check(self, p: Poly) -> bool:
+        """Compare with the references; False if the oracle refused."""
+        got = is_irreducible(p)
+        assert got == self.by_factor(p), p
+        if p.degree <= 6:
+            try:
+                assert got == verify_irreducible(p), p
+            except OracleBudgetExceeded:  # a factor search too large to enumerate
+                return False
+        return True
+
+    @pytest.mark.parametrize(
+        "p,expected",
+        [
+            (Poly.zero(), False),
+            (c(5), False),
+            (c(Fraction(-2, 3)), False),
+            (X, True),
+            (X.scale(Fraction(3, 4)) - c(Fraction(1, 7)), True),
+            (X**2 - c(4), False),  # square discriminant
+            (X**2 - c(2), True),  # non-square discriminant
+            (X**2 + X + ONE, True),  # negative discriminant
+            (X**2 - c(2) * X + ONE, False),  # zero discriminant, a double root
+            ((X**2).scale(Fraction(1, 2)) - c(2), False),  # 1/2*x^2 - 2
+            (X**2 - c(Fraction(1, 4)), False),
+            (c(3) * X**2 + ONE, True),
+            (X**2 + X.scale(Fraction(1, 3)) + c(Fraction(5, 2)), True),
+            ((X**2 + ONE) ** 2, False),
+            ((X - ONE) ** 3, False),
+            ((X**3 - c(2)) * (X - ONE) ** 2, False),
+            (X**3 - c(2), True),
+            (X**4 + c(4), False),
+            # x^4 + 1 splits into quadratics mod every prime, so the degree
+            # patterns never certify it and the lifting fallback decides
+            (X**4 + ONE, True),
+            (Poly((576, 0, -960, 0, 352, 0, -40, 0, 1)), True),  # Swinnerton-Dyer
+            (Poly((576, 0, -960, 0, 352, 0, -40, 0, 1)) * (X**2 - c(3)), False),
+        ],
+    )
+    def test_fixed_inputs(self, p, expected):
+        assert is_irreducible(p) == expected
+        assert self.check(p)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_against_references(self, seed):
+        rng = random.Random(seed)
+
+        def random_poly(degree: int) -> Poly:
+            coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-3, -1, 1, 2, 5])]
+            return Poly(coeffs).scale(Fraction(rng.choice([-5, -1, 1, 3]), rng.choice([1, 2, 7])))
+
+        verdicts, oracle_checked = set(), 0
+        for _ in range(25):
+            if rng.random() < 0.5:
+                p = random_poly(rng.randint(1, 12))
+            else:  # reducible by construction, sometimes not squarefree
+                a = random_poly(rng.randint(1, 4))
+                p = a * (a if rng.random() < 0.3 else random_poly(rng.randint(1, 8)))
+            if self.check(p) and p.degree <= 6:
+                oracle_checked += 1
+            verdicts.add(is_irreducible(p))
+        assert verdicts == {True, False}
+        assert oracle_checked >= 8
+
+
+class TestIntegerForm:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sort_key_orders_like_fractions(self, seed):
+        rng = random.Random(seed)
+        polys = []
+        for _ in range(300):
+            degree = rng.randint(1, 4)
+            coeffs = [
+                Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(degree)
+            ] + [Fraction(1)]
+            polys.append(Poly(coeffs))
+        points = [ClosedPoint._raw(p) for p in polys]
+
+        def fraction_key(p: Poly) -> tuple:
+            return (len(p.coeffs), tuple(reversed(p.coeffs)))
+
+        assert sorted(polys, key=Poly.sort_key) == sorted(polys, key=fraction_key)
+        assert sorted(points, key=ClosedPoint.sort_key) == sorted(
+            points, key=lambda q: (1,) + fraction_key(q.minimal_poly)
+        )
+        for p in polys:
+            assert p.sort_key() == fraction_key(p)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_int_primitive_matches_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        primes = [1_000_003, 998_244_353, 2**61 - 1, 10**9 + 7, 3, 2**31 - 1]
+        for _ in range(40):
+            coeffs = [
+                Fraction(rng.randint(-(10**20), 10**20), rng.choice(primes) ** rng.randint(0, 3))
+                for _ in range(rng.randint(1, 6))
+            ]
+            p = Poly(coeffs)
+            if p.is_zero:
+                continue
+            lcm = 1
+            for q in p.coeffs:
+                lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
+            scaled = [q * lcm for q in p.coeffs]
+            assert all(v.denominator == 1 for v in scaled)
+            g = math.gcd(*(int(v) for v in scaled)) * (1 if scaled[-1] > 0 else -1)
+            content, ints = p.int_primitive()
+            assert ints == [int(v) // g for v in scaled]
+            assert content == Fraction(g, lcm)
+            assert Poly(ints).scale(content) == p
 
 
 class TestResultant:
