@@ -191,9 +191,6 @@ class Divisor:
         """Sum of the support points with multiplicity one."""
         return Divisor((p, 1) for p, _ in self.entries)
 
-    def restrict(self, points: frozenset[ClosedPoint]) -> "Divisor":
-        return Divisor((p, m) for p, m in self.entries if p in points)
-
     def drop(self, points: frozenset[ClosedPoint]) -> "Divisor":
         return Divisor((p, m) for p, m in self.entries if p not in points)
 
@@ -267,9 +264,6 @@ class CurveSpace:
     def is_proper(self) -> bool:
         return not self.boundary
 
-    def contains(self, point: ClosedPoint) -> bool:
-        return point not in self.boundary
-
     def minus(self, points: Iterable[ClosedPoint]) -> "CurveSpace":
         return CurveSpace(self.boundary | frozenset(points))
 
@@ -319,15 +313,20 @@ class RationalMap:
             return cls.constant(INFINITY)
         if num.is_zero:
             return cls.constant(ClosedPoint.rational(0))
-        g = poly_gcd(num, den)
-        if not g.is_constant:
-            num, den = num // g, den // g
-        if num.is_constant and den.is_constant:
-            return cls.constant(ClosedPoint.rational(num.leading / den.leading))
         cn, zn = num.int_primitive()
         cd, zd = den.int_primitive()
+        return cls._from_ints(cn / cd, zn, zd)
+
+    @classmethod
+    def _from_ints(cls, ratio: Fraction, zn: list[int], zd: list[int]) -> "RationalMap":
+        # ratio * zn / zd for primitive zn, zd with positive leading
+        # coefficients; the quotients by their primitive gcd stay so
+        g = _zgcd(zn, zd)
+        if len(g) > 1:
+            zn, zd = _zdiv_exact(zn, g), _zdiv_exact(zd, g)
+        if len(zn) == 1 and len(zd) == 1:
+            return cls.constant(ClosedPoint.rational(ratio))
         # joint scaling: keep both integral with coprime contents
-        ratio = cn / cd
         a, b = ratio.numerator, ratio.denominator
         num = Poly.from_int_coeffs([v * a for v in zn])
         den = Poly.from_int_coeffs([v * b for v in zd])
@@ -422,22 +421,31 @@ def compose_maps(outer: RationalMap, inner: RationalMap) -> RationalMap:
         return outer
     if outer.is_identity:
         return inner
+    # outer's homogenized forms at (inner.num, inner.den), over Z
     d = outer.degree
-    num_pows = [Poly.one()]
-    den_pows = [Poly.one()]
+    on, od = _ints(outer.num), _ints(outer.den)
+    on += [0] * (d + 1 - len(on))
+    od += [0] * (d + 1 - len(od))
+    nz, dz = _ints(inner.num), _ints(inner.den)
+    num_pows = [[1]]
+    den_pows = [[1]]
     for _ in range(d):
-        num_pows.append(num_pows[-1] * inner.num)
-        den_pows.append(den_pows[-1] * inner.den)
-    new_num = Poly.zero()
-    new_den = Poly.zero()
-    for i in range(d + 1):
-        cn = outer.num[i]
-        if cn:
-            new_num = new_num + (num_pows[i] * den_pows[d - i]).scale(cn)
-        cd = outer.den[i]
-        if cd:
-            new_den = new_den + (num_pows[i] * den_pows[d - i]).scale(cd)
-    return RationalMap.from_fraction(new_num, new_den)
+        num_pows.append(_zmul(num_pows[-1], nz))
+        den_pows.append(_zmul(den_pows[-1], dz))
+    new_num: list[int] = []
+    new_den: list[int] = []
+    for i, (cn, cd) in enumerate(zip(on, od)):
+        if cn or cd:
+            term = _zmul(num_pows[i], den_pows[d - i])
+            if cn:
+                new_num = _zadd(new_num, [cn * v for v in term])
+            if cd:
+                new_den = _zadd(new_den, [cd * v for v in term])
+    # neither form vanishes: inner is nonconstant, so its image is infinite
+    zn, zd = _zprimitive(new_num), _zprimitive(new_den)
+    return RationalMap._from_ints(
+        Fraction(new_num[-1] // zn[-1], new_den[-1] // zd[-1]), zn, zd
+    )
 
 
 def multiply_maps(f: RationalMap, g: RationalMap) -> RationalMap:
@@ -450,6 +458,11 @@ def multiply_maps(f: RationalMap, g: RationalMap) -> RationalMap:
 # ---------------------------------------------------------------------------
 # fibers: the homogenized composite behind every pullback
 # ---------------------------------------------------------------------------
+
+
+def _ints(p: Poly) -> list[int]:
+    # the coefficients of a polynomial known to be integral
+    return [c.numerator for c in p.coeffs]
 
 
 def fiber_data(f: RationalMap, point: ClosedPoint) -> tuple[Poly, int]:
@@ -474,8 +487,7 @@ def _fiber_cached(f: RationalMap, point: ClosedPoint) -> tuple[Poly, int]:
     # maps are stored with integer coefficients; clear the point's
     # denominators too and work over Z (a constant factor is harmless)
     _, pz = point.minimal_poly.int_primitive()
-    nz = [int(c) for c in f.num.coeffs]
-    dz = [int(c) for c in f.den.coeffs]
+    nz, dz = _ints(f.num), _ints(f.den)
     num_pows: list[list[int]] = [[1]]
     for _ in range(e):
         num_pows.append(_zmul(num_pows[-1], nz))
@@ -649,19 +661,20 @@ class LocusKind(Enum):
 class Locus:
     """A Galois-stable set of closed points of the line.
 
-    FINITE loci carry a monic squarefree polynomial (roots = the finite
-    points) and a flag for infinity.  ALL is the whole line; COFINITE
-    only ever appears as the left side of an inclusion test, where
-    "infinite" is all that matters.
+    FINITE loci carry a primitive squarefree integer polynomial with a
+    positive leading coefficient (roots = the finite points; ascending
+    coefficients) and a flag for infinity.  ALL is the whole line;
+    COFINITE only ever appears as the left side of an inclusion test,
+    where "infinite" is all that matters.
     """
 
     kind: LocusKind
-    poly: Poly = Poly.one()
+    poly: tuple[int, ...] = (1,)
     has_infinity: bool = False
 
     @classmethod
     def empty(cls) -> "Locus":
-        return cls(LocusKind.FINITE, Poly.one(), False)
+        return cls(LocusKind.FINITE)
 
     @classmethod
     def everything(cls) -> "Locus":
@@ -669,7 +682,7 @@ class Locus:
 
     @property
     def is_empty(self) -> bool:
-        return self.kind is LocusKind.FINITE and self.poly.is_constant and not self.has_infinity
+        return self.kind is LocusKind.FINITE and len(self.poly) == 1 and not self.has_infinity
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -684,15 +697,21 @@ def squarefree_part(p: Poly) -> Poly:
     return _monic_from_ints(acc)
 
 
+# Products and quotients of primitive polynomials with positive leading
+# coefficients are again such (Gauss's lemma), so the locus algebra below
+# needs no normalization, and a primitive a divides an integral b over Q
+# exactly when it divides it over Z.
+
+
 def points_locus(points: Iterable[ClosedPoint]) -> Locus:
-    poly = Poly.one()
+    acc = [1]
     inf = False
     for p in points:
         if p.is_infinity:
             inf = True
         else:
-            poly = poly * p.minimal_poly
-    return Locus(LocusKind.FINITE, poly.monic() if not poly.is_constant else poly, inf)
+            acc = _zmul(acc, p.minimal_poly.int_primitive()[1])
+    return Locus(LocusKind.FINITE, tuple(acc), inf)
 
 
 def preimage_locus(f: RationalMap, points: Iterable[ClosedPoint]) -> Locus:
@@ -700,16 +719,17 @@ def preimage_locus(f: RationalMap, points: Iterable[ClosedPoint]) -> Locus:
     pts = list(points)
     if f.is_constant:
         return Locus.everything() if f.const in pts else Locus.empty()
-    poly = Poly.one()
+    acc = [1]
     inf = False
     for p in pts:
         g, k = fiber_data(f, p)
         if k > 0:
             inf = True
         if not g.is_constant:
-            poly = poly * squarefree_part(g)
+            for _, part in _zyun(_ints(g)):
+                acc = _zmul(acc, part)
     # fibers of distinct points are disjoint, so the product is squarefree
-    return Locus(LocusKind.FINITE, poly if poly.is_constant else poly.monic(), inf)
+    return Locus(LocusKind.FINITE, tuple(acc), inf)
 
 
 def locus_subtract(a: Locus, b: Locus) -> Locus:
@@ -723,11 +743,10 @@ def locus_subtract(a: Locus, b: Locus) -> Locus:
         # conservative: unused in the checks we run
         raise DegenerateInput("cannot subtract a cofinite locus")
     poly = a.poly
-    if not poly.is_constant and not b.poly.is_constant:
-        g = poly_gcd(poly, b.poly)
-        if not g.is_constant:
-            q = poly // g
-            poly = q.monic() if not q.is_constant else Poly.one()
+    if len(poly) > 1 and len(b.poly) > 1:
+        g = _zgcd(poly, b.poly)
+        if len(g) > 1:
+            poly = tuple(_zdiv_exact(poly, g))
     return Locus(LocusKind.FINITE, poly, a.has_infinity and not b.has_infinity)
 
 
@@ -736,11 +755,10 @@ def locus_union(a: Locus, b: Locus) -> Locus:
         return Locus.everything()
     poly = a.poly
     other = b.poly
-    if poly.is_constant:
+    if len(poly) == 1:
         poly = other
-    elif not other.is_constant:
-        g = poly_gcd(poly, other)
-        poly = (poly * (other // g)).monic()
+    elif len(other) > 1:
+        poly = tuple(_zmul(poly, _zdiv_exact(other, _zgcd(poly, other))))
     return Locus(LocusKind.FINITE, poly, a.has_infinity or b.has_infinity)
 
 
@@ -755,23 +773,7 @@ def locus_subset(a: Locus, b: Locus) -> bool:
         raise DegenerateInput("cannot test inclusion in a cofinite locus")
     if a.has_infinity and not b.has_infinity:
         return False
-    if a.poly.is_constant:
-        return True
-    if b.poly.is_constant:
-        return False
-    return a.poly.divides(b.poly)
-
-
-def locus_intersects(a: Locus, b: Locus) -> bool:
-    if a.is_empty or b.is_empty:
-        return False
-    if a.kind is not LocusKind.FINITE or b.kind is not LocusKind.FINITE:
-        return True  # infinite against nonempty always meets on the line
-    if a.has_infinity and b.has_infinity:
-        return True
-    if a.poly.is_constant or b.poly.is_constant:
-        return False
-    return not poly_gcd(a.poly, b.poly).is_constant
+    return _zdiv_exact(b.poly, a.poly) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -799,10 +801,9 @@ class FiberTerm:
 def _term(
     poly: Poly, coeff: int, map_key: int, point: ClosedPoint, irreducible: bool
 ) -> Optional[FiberTerm]:
-    _, ints = poly.int_primitive()
-    if len(ints) <= 1:
+    if len(poly.coeffs) <= 1:
         return None
-    return FiberTerm(tuple(ints), coeff, map_key, point, irreducible)
+    return FiberTerm(tuple(_zprimitive(_ints(poly))), coeff, map_key, point, irreducible)
 
 
 def _coprime_by_provenance(a: FiberTerm, b: FiberTerm) -> bool:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .cycles import Cycle, all_excellent, graph_cycle, is_admissible
 from .divisors import (
-    ClosedPoint,
     CurveSpace,
     Divisor,
     RationalMap,
@@ -315,9 +314,6 @@ class NePair:
     """The proper line with a divisor at infinity of arbitrary sign."""
 
     infinity: Divisor
-
-    def interior_bad_set(self) -> frozenset[ClosedPoint]:
-        return self.infinity.support()
 
 
 def ne_embed(x: NePair) -> ModulusTriple:

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used by the property suites.
 
 These deliberately avoid the main code paths they certify: the
-minimum-divisor oracle enumerates every common lower bound, and the
+divisor oracles enumerate every common lower bound, and the
 irreducibility oracle works from rational roots, naive trial-division
 factor patterns over small prime fields, and bounded integer factor
 enumeration.  Nothing here touches the Hensel machinery.
@@ -33,19 +33,6 @@ def common_lower_bounds(d1: Divisor, d2: Divisor) -> Iterator[Divisor]:
 
 def disjoint_after_subtracting(d1: Divisor, d2: Divisor, e: Divisor) -> bool:
     return not ((d1 - e).support() & (d2 - e).support())
-
-
-def min_divisor_oracle(d1: Divisor, d2: Divisor) -> Divisor:
-    """The unique common lower bound with disjoint differences, by search."""
-    found: Optional[Divisor] = None
-    for e in common_lower_bounds(d1, d2):
-        if disjoint_after_subtracting(d1, d2, e):
-            if found is not None:
-                raise AssertionError("two lower bounds with disjoint differences")
-            found = e
-    if found is None:
-        raise AssertionError("no lower bound with disjoint differences")
-    return found
 
 
 # ---------------------------------------------------------------------------

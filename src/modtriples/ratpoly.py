@@ -104,10 +104,6 @@ class Poly:
             return Fraction(0)
         return self.coeffs[-1]
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __getitem__(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
@@ -156,12 +152,6 @@ class Poly:
             raise ValueError("negative power")
         return Poly(_zpow(list(self.coeffs), n))
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
     def __call__(self, value: Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -198,20 +188,10 @@ class Poly:
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
     def divides(self, other: "Poly") -> bool:
         if self.is_zero:
             return other.is_zero
         return other.divmod(self)[1].is_zero
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)) by Horner."""
-        acc = Poly(())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(c)
-        return acc
 
     # -- integer form --------------------------------------------------
 
@@ -525,24 +505,31 @@ def _pddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
     """Distinct-degree factorization of a monic squarefree f mod p.
 
     Returns pairs (d, g), g the monic product of the irreducible factors
-    of degree d.  Products mod f run on residues packed into big ints, k
-    bytes a coefficient: the rows x^i mod f (i < 2n - 1) reduce a
+    of degree d.  Products mod f run on residues packed into big ints, w
+    bits a coefficient: the rows x^i mod f (i < 2n - 1) reduce a
     product, and the Frobenius rows x^(i*p) mod f make h -> h^p one
     vector-matrix product.  A gcd costs O(n^2) list operations and a
     packed product O(n), so the values h - x for n // 16 + 1 consecutive
     degrees share one gcd with f.
     """
     n = len(f) - 1
-    k = (2 * n * p * p).bit_length() // 8 + 1  # a slot holds a sum of 2n products
+    w = (2 * n * p * p).bit_length()  # a slot holds a sum of 2n products
+    mask = (1 << w) - 1
 
     def pack(a: list[int]) -> int:
-        return int.from_bytes(b"".join(c.to_bytes(k, "little") for c in a), "little")
+        v = 0
+        for c in reversed(a):
+            v = (v << w) | c
+        return v
 
     def unpack(v: int, m: int = n) -> list[int]:
-        bs = v.to_bytes(m * k, "little")
-        return [int.from_bytes(bs[i : i + k], "little") % p for i in range(0, m * k, k)]
+        out = []
+        for _ in range(m):
+            out.append((v & mask) % p)
+            v >>= w
+        return out
 
-    reduce_rows = [1 << (8 * k * i) for i in range(n)]
+    reduce_rows = [1 << (w * i) for i in range(n)]
     top = [-c % p for c in f[:-1]]  # x^n mod f, then x^(n+1) mod f, ...
     for _ in range(n - 1):
         reduce_rows.append(pack(top))

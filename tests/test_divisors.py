@@ -1,5 +1,6 @@
 """Divisor calculus on the line: pullback, pushforward, minimum, splitting."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,18 @@ from modtriples import (
     pullback_divisor,
     pushforward_divisor,
 )
+from modtriples.divisors import (
+    Locus,
+    LocusKind,
+    fiber_data,
+    locus_subset,
+    locus_subtract,
+    locus_union,
+    points_locus,
+    preimage_locus,
+    squarefree_part,
+)
+from modtriples.ratpoly import poly_gcd
 
 X = Poly.x()
 ONE = Poly.one()
@@ -277,3 +290,203 @@ class TestCachedHashes:
         with pytest.raises(AttributeError):
             setattr(d, name, None)
         assert d.entries == ((P0, 1),) and d.multiplicity(P0) == 1
+
+
+class TestIntegerLoci:
+    """The Z[x] locus algebra and map composition against Fraction references.
+
+    References are monic Fraction polynomials built with Poly arithmetic:
+    the product of the squarefree parts of the fibers, and gcd, exact
+    division and divisibility over Q.
+    """
+
+    POOL = [
+        INFINITY,
+        P0,
+        P1,
+        PM1,
+        P2,
+        ClosedPoint.rational(Fraction(1, 2)),
+        ClosedPoint.rational(Fraction(-3, 4)),
+        SQRT2,
+        ClosedPoint.finite(X**2 + ONE),
+        ClosedPoint.finite(X**2 + X + ONE),
+        ClosedPoint.finite(X**3 - Poly.constant(2)),
+        ClosedPoint.finite((X**2).scale(3) - Poly.constant(5)),
+    ]
+
+    # fibers with parts of two or more multiplicities, e.g. x^2 (x - 1) over 0
+    RAMIFIED = [
+        rmap(X**2 * (X - ONE)),
+        rmap((X - ONE) ** 2 * (X + ONE), X + Poly.constant(3)),
+        rmap(X**3, X - ONE),
+        rmap((X**2 + ONE) ** 2, X**3),
+    ]
+
+    @staticmethod
+    def random_map(rng: random.Random) -> RationalMap:
+        # degree <= 3, height <= 10; now and then constant or the identity
+        roll = rng.random()
+        if roll < 0.05:
+            return RationalMap.identity()
+        if roll < 0.1:
+            return RationalMap.constant(rng.choice([INFINITY, P0, P1, P2]))
+        while True:
+            num = Poly([rng.randint(-10, 10) for _ in range(rng.randint(1, 4))])
+            den = Poly([rng.randint(-10, 10) for _ in range(rng.randint(1, 4))])
+            if not (num.is_zero and den.is_zero):
+                return rmap(num, den)
+
+    def random_points(self, rng: random.Random) -> list[ClosedPoint]:
+        return rng.sample(self.POOL, rng.randint(0, 4))
+
+    @staticmethod
+    def monic(locus: Locus) -> Poly:
+        """The locus polynomial as a monic Fraction Poly, after checking its form."""
+        coeffs = locus.poly
+        assert all(isinstance(c, int) for c in coeffs)
+        assert coeffs[-1] > 0 and math.gcd(*coeffs) == 1
+        return Poly(coeffs).monic()
+
+    @staticmethod
+    def reference_preimage(f: RationalMap, points: list[ClosedPoint]) -> tuple[Poly, bool]:
+        poly, inf = ONE, False
+        for p in points:
+            g, k = fiber_data(f, p)
+            inf = inf or k > 0
+            poly = poly * squarefree_part(g)
+        return poly.monic(), inf
+
+    def random_locus(self, rng: random.Random) -> Locus:
+        f = self.random_map(rng)
+        if f.is_constant or rng.random() < 0.2:
+            return points_locus(self.random_points(rng))
+        return preimage_locus(f, self.random_points(rng))
+
+    def test_preimage_matches_fraction_product(self):
+        rng = random.Random(61)
+        checked = 0
+        for i in range(300):
+            f = self.RAMIFIED[i] if i < len(self.RAMIFIED) else self.random_map(rng)
+            pts = self.POOL if i < len(self.RAMIFIED) else self.random_points(rng)
+            loc = preimage_locus(f, pts)
+            if f.is_constant:
+                assert loc == (Locus.everything() if f.const in pts else Locus.empty())
+                continue
+            poly, inf = self.reference_preimage(f, pts)
+            assert loc.kind is LocusKind.FINITE
+            assert (self.monic(loc), loc.has_infinity) == (poly, inf)
+            # and as sets: a rational t lies in the locus iff f(t) is one of the points
+            assert loc.has_infinity == (f.value_at(INFINITY) in pts)
+            for t in range(-4, 5):
+                hit = f.value_at(ClosedPoint.rational(t)) in pts
+                assert (Poly(loc.poly)(Fraction(t)) == 0) == hit
+            checked += 1
+        assert checked >= 200
+
+    def test_points_locus_is_product_of_minimal_polys(self):
+        rng = random.Random(62)
+        for _ in range(100):
+            pts = self.random_points(rng)
+            loc = points_locus(pts)
+            expected = ONE
+            for p in pts:
+                if not p.is_infinity:
+                    expected = expected * p.minimal_poly
+            assert self.monic(loc) == expected
+            assert loc.has_infinity == (INFINITY in pts)
+            assert loc.is_empty == (not pts)
+
+    def test_algebra_matches_fraction_gcds(self):
+        rng = random.Random(63)
+        for _ in range(300):
+            a, b = self.random_locus(rng), self.random_locus(rng)
+            if a.kind is not LocusKind.FINITE or b.kind is not LocusKind.FINITE:
+                continue
+            pa, pb = self.monic(a), self.monic(b)
+            g = poly_gcd(pa, pb)
+            subset = pa.divides(pb) and (b.has_infinity or not a.has_infinity)
+            assert locus_subset(a, b) == subset
+            diff = locus_subtract(a, b)
+            assert self.monic(diff) == (pa // g).monic()
+            assert diff.has_infinity == (a.has_infinity and not b.has_infinity)
+            union = locus_union(a, b)
+            assert self.monic(union) == (pa * (pb // g)).monic()
+            assert union.has_infinity == (a.has_infinity or b.has_infinity)
+            # the laws the position checks rely on
+            assert locus_subset(a, union) and locus_subset(b, union)
+            assert locus_subset(diff, a) and locus_subset(a, locus_union(diff, b))
+
+    def test_algebra_with_infinite_loci(self):
+        rng = random.Random(64)
+        everything, empty = Locus.everything(), Locus.empty()
+        for _ in range(50):
+            a = self.random_locus(rng)
+            assert locus_subset(empty, a) and locus_subset(a, everything)
+            assert locus_union(a, everything) == everything
+            assert locus_subtract(a, everything) == empty
+            assert locus_subtract(a, empty) == a and locus_union(a, empty) == a
+            if a.kind is LocusKind.FINITE:
+                assert not locus_subset(everything, a)
+                assert not locus_subset(locus_subtract(everything, a), a)
+
+    def test_compose_matches_fraction_evaluation(self):
+        rng = random.Random(65)
+        samples = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 7)]
+        checked = 0
+        for _ in range(200):
+            f, g = self.random_map(rng), self.random_map(rng)
+            comp = compose_maps(g, f)
+            if f.is_constant or g.is_constant:
+                if g.is_constant:
+                    assert comp == g
+                else:
+                    assert comp == RationalMap.constant(g.value_at(f.value))
+                continue
+            assert comp.degree == f.degree * g.degree
+            # normal form: integral, coprime, joint content 1, positive den lc
+            num, den = comp.num, comp.den
+            assert all(c.denominator == 1 for c in num.coeffs + den.coeffs)
+            assert poly_gcd(num, den) == ONE
+            assert math.gcd(*(int(c) for c in num.coeffs + den.coeffs)) == 1
+            assert den.leading > 0
+            # the outer map's homogenized forms at the inner pair, over Q
+            d = g.degree
+            ref_num = ref_den = Poly.zero()
+            for i in range(d + 1):
+                term = f.num**i * f.den ** (d - i)
+                ref_num = ref_num + term.scale(g.num[i])
+                ref_den = ref_den + term.scale(g.den[i])
+            assert comp == rmap(ref_num, ref_den)
+            points = 0
+            for t in samples:
+                ft_den = f.den(t)
+                if not ft_den:
+                    continue
+                ft = f.num(t) / ft_den
+                gt_den = g.den(ft)
+                if not gt_den or not den(t):
+                    continue
+                assert num(t) / den(t) == g.num(ft) / gt_den
+                points += 1
+                if points == 5:
+                    break
+            assert points == 5
+            checked += 1
+        assert checked >= 120
+
+    def test_from_fraction_cancels_common_factors(self):
+        rng = random.Random(66)
+        checked = 0
+        for _ in range(100):
+            f = self.random_map(rng)
+            common = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))])
+            if f.is_constant or common.is_zero:
+                continue
+            scale = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 4, 9]))
+            sign = rng.choice([1, -1])
+            g = rmap((f.num * common).scale(scale * sign), (f.den * common).scale(scale))
+            assert g == rmap(f.num.scale(sign), f.den)
+            assert g.den.leading > 0 and poly_gcd(g.num, g.den) == ONE
+            checked += 1
+        assert checked >= 60

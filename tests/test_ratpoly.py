@@ -20,7 +20,7 @@ from modtriples import (
 )
 from modtriples.divisors import squarefree_part
 from modtriples.oracles import OracleBudgetExceeded, verify_irreducible
-from modtriples.ratpoly import _pddf, _pmonic
+from modtriples.ratpoly import _pddf, _pdivmod, _pgcd, _pmonic, _ppowmod, _zderiv, _zsub
 
 X = Poly.x()
 ONE = Poly.one()
@@ -275,6 +275,51 @@ class TestFactor:
         for p in samples:
             for q, _ in factor(p):
                 assert verify_irreducible(q)
+
+
+def _plain_ddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """Distinct-degree factorization on unpacked lists: gcd(f, x^(p^d) - x)."""
+    out = []
+    h = [0, 1]
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _ppowmod(h, p, f, p)
+        g = _pgcd(f, _zsub(h, [0, 1]), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _pdivmod(f, g, p)[0]
+            h = _pdivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
+
+
+class TestPackedDdf:
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 101, 65537])
+    def test_matches_plain_ddf(self, p):
+        # residues near p - 1 fill the packed slots the most
+        rng = random.Random(p)
+        checked = 0
+        while checked < 12:
+            n = rng.randint(2, 48)
+            f = [rng.choice((rng.randrange(p), p - 1)) for _ in range(n)] + [1]
+            if len(_pgcd(f, _zderiv(f), p)) != 1:
+                continue
+            assert _pddf(f, p) == _plain_ddf(f, p)
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "p,f",
+        [
+            (17, [16] * 8 + [9, 3, 15, 3, 16, 1]),
+            (17, [16] * 8 + [8] + [16] * 4 + [1]),
+            (31, [30, 10, 4, 30, 30, 11, 12, 8, 1]),
+        ],
+    )
+    def test_full_slots(self, p, f):
+        # packed sums here exceed a quarter of the slot bound 2^w > 2np^2
+        assert _pddf(f, p) == _plain_ddf(f, p)
 
 
 class TestIsIrreducible:

@@ -1,5 +1,8 @@
 """Suite runner plumbing: config validation, registry, record shape."""
 
+import hashlib
+import json
+
 import pytest
 
 from modtriples import ParseError
@@ -39,6 +42,16 @@ class TestReport:
             assert set(record) == {"id", "inputs", "verdict", "counterexample"}
             assert record["verdict"] in ("pass", "fail")
             assert (record["counterexample"] is None) == (record["verdict"] == "pass")
+
+    def test_pinned_digest(self):
+        # A fixed run's report, timing dropped, must not move when the engine
+        # is only made faster or smaller.  A change to what the suites check
+        # or record re-pins it, with the reason given in CHANGES.md.
+        data = run_suite(SuiteConfig(seed=3, samples=3, suites=("all",))).to_json()
+        del data["elapsed_s"]
+        assert len(data["records"]) == 78
+        digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+        assert digest == "538734bc4e0e0a4ba907abc57780205b3f7278f67179b38b667c5c77db19ff61"
 
     def test_suite_isolation(self):
         # a suite's records do not depend on which other suites run
