@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import DegenerateInput, NotEffective
 from .ratpoly import (
     Poly,
+    _factor_fiber,
     _monic_from_ints,
     _zadd,
     _zdiv_exact,
@@ -514,9 +515,15 @@ def pullback_divisor(f: RationalMap, divisor: Divisor) -> Divisor:
         g, k = fiber_data(f, point)
         if k:
             acc.append((INFINITY, mult * k))
-        if not g.is_constant:
-            for q, m in factor(g).factors:
-                acc.append((ClosedPoint._raw(q), mult * m))
+        if g.is_constant:
+            continue
+        if f.degree == 1:  # a Moebius map takes a point to a point
+            acc.append((ClosedPoint._raw(g.monic()), mult))
+            continue
+        z = _zprimitive(_ints(g))  # over infinity or a rational point, g is its own fiber
+        fiber = ([0, 1], z, [1]) if point.degree == 1 else (
+            point.minimal_poly.int_primitive()[1], _ints(f.num), _ints(f.den))
+        acc.extend((ClosedPoint._raw(q), mult * m) for q, m in _factor_fiber(z, *fiber))
     return Divisor(acc)
 
 

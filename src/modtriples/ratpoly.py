@@ -14,6 +14,14 @@ equal-degree splitting at the prime with the fewest factors; quadratic
 Hensel lifting; and factor recombination, exponential in the worst
 case, which is fine at desk scale (degrees stay small and inputs are
 not adversarial).
+
+A pullback fiber f = den^e * q(num/den) over a point q of degree e is,
+up to a constant, the norm from K = Q(θ), q(θ) = 0, of num - θ*den, so
+a factor of f over Q has some K-degree m (Capelli's lemma, Schinzel,
+Polynomials with Special Regard to Reducibility, 2000, §2.1, in Trager's
+norm form, SYMSAC 1976) and puts m * deg(Q_j) of its degree into the
+fiber G_j over each irreducible factor Q_j of q mod p: the degree patterns
+are read per Q_j, and a plain polynomial is the trivial fiber q = x.
 """
 
 from __future__ import annotations
@@ -647,31 +655,58 @@ def _primes() -> Iterator[int]:
             yield n
 
 
-def _factor_squarefree_int(f: list[int]) -> list[list[int]]:
-    """Irreducible factors (primitive, positive lc) of a primitive squarefree f."""
+def _residue_fibers(f: list[int], q: list[int], num: list[int], den: list[int], p: int) -> list | None:
+    """(deg Q_j, DDF of G_j = den^deg(Q_j) * Q_j(num/den) mod p) over the factors Q_j of
+    q mod p; None unless lc(f) and lc(q) survive, num and den stay coprime and q and each
+    G_j stay squarefree, so f is too.  A linear q leaves f its own residue fiber."""
+    if not (f[-1] % p and q[-1] % p):
+        return None
+    if len(q) == 2:
+        fibers = [(1, f)]
+    elif len(_pgcd(num, den, p)) != 1 or len(_pgcd(q, _zderiv(q), p)) != 1:
+        return None
+    else:
+        fibers = []
+        for c, b in _pddf(_pmonic(q, p), p):
+            for r in _pedf(b, c, p, random.Random(p)):
+                g, den_pow = [r[-1]], [1]
+                for coeff in reversed(r[:-1]):  # Horner in the homogenized form
+                    den_pow = _pmod(_zmul(den_pow, den), p)
+                    g = _pmod(_zadd(_zmul(g, num), [coeff * v for v in den_pow]), p)
+                fibers.append((c, g))
+    out = []
+    for c, g in fibers:
+        if len(_pgcd(g, _zderiv(g), p)) != 1:
+            return None
+        out.append((c, _pddf(_pmonic(g, p), p)))
+    return out
+
+
+def _factor_squarefree_int(f: list[int], q: list[int], num: list[int], den: list[int]) -> list[list[int]]:
+    """Irreducible factors (primitive, positive lc) of a primitive squarefree fiber form
+    f = c * den^e * q(num/den), q primitive irreducible of degree e, num and den coprime of
+    degree deg(f) / e.  Any squarefree f is its own trivial fiber q = x, num = f, den = 1."""
     n = len(f) - 1
     if n <= 1:
         return [f]
-    deriv = _zderiv(f)
-    # primes of good reduction: lc(f) survives and f stays squarefree
-    good = (p for p in _primes() if f[-1] % p and len(_pgcd(f, deriv, p)) == 1)
-    # The degree of a factor over Q is a sum of factor degrees mod every
-    # good p, so f is irreducible once those subset-sum sets meet in {0, n}.
-    degrees = set(range(n + 1))
+    open_m = set(range(1, n // (len(q) - 1)))
+    good = ((p, fibers) for p in _primes()
+            if (fibers := _residue_fibers(f, q, num, den, p)) is not None)
     scanned = []
-    for p in itertools.islice(good, 4):
-        ddf = _pddf(_pmonic(f, p), p)
-        sums = {0}
-        for d, g in ddf:
-            for _ in range((len(g) - 1) // d):
-                sums |= {s + d for s in sums}
-        degrees &= sums
-        if degrees == {0, n}:
+    for p, fibers in itertools.islice(good, 4):
+        for c, ddf in fibers:
+            sums = {0}
+            for d, g in ddf:
+                for _ in range((len(g) - 1) // d):
+                    sums |= {s + d for s in sums}
+            # a factor of K-degree m puts m * c of its degree into this G_j
+            open_m = {m for m in open_m if m * c in sums}
+        if not open_m:
             return [f]
-        scanned.append((sum((len(g) - 1) // d for d, g in ddf), p, ddf))
-    _, p, ddf = min(scanned)  # the fewest factors to lift
+        scanned.append((sum((len(g) - 1) // d for _, ddf in fibers for d, g in ddf), p, fibers))
+    _, p, fibers = min(scanned)  # the fewest factors to lift
     rng = random.Random(p)
-    parts = [q for d, g in ddf for q in _pedf(g, d, p, rng)]
+    parts = [r for _, ddf in fibers for d, g in ddf for r in _pedf(g, d, p, rng)]
     # lift to a modulus beyond twice the Mignotte factor bound
     norm2 = math.isqrt(sum(c * c for c in f)) + 1
     bound = 2 ** (n + 1) * norm2 * abs(f[-1])
@@ -778,13 +813,21 @@ def factor(p: Poly) -> FactoredPoly:
     unit = p.leading
     if p.is_constant:
         return FactoredPoly(unit=unit, factors=())
-    collected: list[tuple[Poly, int]] = []
     _, f = p.int_primitive()
-    for mult, part in _zyun(f):
-        for zfac in _factor_squarefree_int(part):
-            collected.append((_monic_from_ints(zfac), mult))
+    collected = _factor_fiber(f, [0, 1], f, [1])
     collected.sort(key=lambda item: item[0].sort_key())
     return FactoredPoly(unit=Fraction(unit), factors=tuple(collected))
+
+
+def _factor_fiber(f: list[int], q: list[int], num: list[int], den: list[int]) -> list[tuple[Poly, int]]:
+    """(monic irreducible factor, multiplicity) pairs of a nonconstant fiber
+    form f as ``_factor_squarefree_int`` takes it; a ramified f, one that is
+    not squarefree, is factored one Yun part at a time as trivial fibers."""
+    parts = _zyun(f)
+    if len(parts) == 1 and parts[0][0] == 1:
+        return [(_monic_from_ints(z), 1) for z in _factor_squarefree_int(f, q, num, den)]
+    return [(_monic_from_ints(z), m)
+            for m, part in parts for z in _factor_squarefree_int(part, [0, 1], part, [1])]
 
 
 def is_irreducible(p: Poly) -> bool:
@@ -807,7 +850,7 @@ def is_irreducible(p: Poly) -> bool:
         return disc < 0 or math.isqrt(disc) ** 2 != disc
     if _zgcd(f, _zderiv(f)) != [1]:
         return False
-    return len(_factor_squarefree_int(f)) == 1
+    return len(_factor_squarefree_int(f, [0, 1], f, [1])) == 1
 
 
 def resultant(a: Poly, b: Poly) -> Fraction:

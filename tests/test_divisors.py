@@ -35,7 +35,8 @@ from modtriples.divisors import (
     preimage_locus,
     squarefree_part,
 )
-from modtriples.ratpoly import poly_gcd
+from modtriples import ratpoly
+from modtriples.ratpoly import factor, poly_gcd
 
 X = Poly.x()
 ONE = Poly.one()
@@ -490,3 +491,112 @@ class TestIntegerLoci:
             assert g.den.leading > 0 and poly_gcd(g.num, g.den) == ONE
             checked += 1
         assert checked >= 60
+
+
+class TestFiberFactoring:
+    """pullback_divisor, which certifies a fiber over a point of degree >= 2
+    one residue factor at a time and skips factoring under degree-1 maps,
+    against factor() of the same fiber form."""
+
+    SQRTM1 = ClosedPoint.finite(X**2 + ONE)
+    PINNED = [
+        # reducible: x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2)
+        (SQ, ClosedPoint.finite(X**2 + Poly.constant(4)), 2),
+        (rmap(Poly((1, -2, -8)), Poly.constant(5)), SQRTM1, 2),
+        # ramified: (3x^2 + 4)(3x^2 + 1)^2, and (x^2 - 2)^2, a single Yun part
+        (rmap(X**3 + X), ClosedPoint.finite((X**2).scale(27) + Poly.constant(4)), 2),
+        (rmap(X**2 + Poly.constant(2), X.scale(2)), SQRT2, 1),
+        # num and den share a root mod 5: a Moebius map, also over its value
+        # at infinity, and a cubic whose den vanishes mod 5 and whose
+        # fiber is lifted
+        (rmap(X + Poly.constant(3), X - Poly.constant(2)), SQRTM1, 1),
+        (rmap(X + Poly.constant(3), X - Poly.constant(2)), P1, 1),
+        (rmap(Poly((-4, -1, 1, 3)), Poly.constant(5)), ClosedPoint.finite(Poly((5, -3, 3))), 1),
+        # irreducible: x^4 + 1, closed one residue factor at a time, and a
+        # fiber that no prime closes, so lifting proves it
+        (SQ, SQRTM1, 1),
+        (rmap(Poly((3, 3, 4)), Poly.constant(2)), SQRTM1, 1),
+    ]
+
+    @staticmethod
+    def pool() -> list[ClosedPoint]:
+        """Points of degree 1 to 6: infinity, rational and low-degree points,
+        and the points of a few pullbacks."""
+        base = [INFINITY, P0, P1, PM1, P2, ClosedPoint.rational(Fraction(-3, 4)), SQRT2,
+                ClosedPoint.finite(X**2 + ONE), ClosedPoint.finite(X**2 + X + ONE),
+                ClosedPoint.finite((X**2).scale(3) - Poly.constant(5)),
+                ClosedPoint.finite(X**3 - Poly.constant(2))]
+        pulled = set()
+        for f, pt in [(rmap(X**2 + X), SQRT2), (rmap(X**5 - X - ONE), P0),
+                      (rmap(X**3 - X + ONE, X), ClosedPoint.finite(X**2 + ONE)),
+                      (rmap(X**2 - Poly.constant(3), X + ONE), ClosedPoint.finite(X**3 - Poly.constant(2)))]:
+            pulled |= pullback_divisor(f, Divisor.of(pt)).support()
+        assert {p.degree for p in pulled} >= {4, 5, 6}
+        return base + sorted(pulled, key=ClosedPoint.sort_key)
+
+    @staticmethod
+    def by_factor(f: RationalMap, point: ClosedPoint) -> Divisor:
+        g, k = fiber_data(f, point)
+        acc = [(INFINITY, k)] if k else []
+        if not g.is_constant:
+            acc += [(ClosedPoint.finite(q), m) for q, m in factor(g)]
+        return Divisor(acc)
+
+    def test_pinned_fibers(self):
+        for f, point, parts in self.PINNED:
+            pulled = pullback_divisor(f, Divisor.of(point))
+            assert pulled == self.by_factor(f, point)
+            assert len(pulled.support()) == parts
+
+    @staticmethod
+    def branch_points(f: RationalMap) -> list[ClosedPoint]:
+        """Images of degree >= 2 of the critical points of f: fibers over them ramify."""
+        def deriv(p):
+            return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+        wronskian = deriv(f.num) * f.den - f.num * deriv(f.den)
+        if wronskian.is_constant:
+            return []
+        images = {point_image(f, ClosedPoint.finite(q)) for q, _ in factor(wronskian)}
+        return sorted((p for p in images if p.degree > 1), key=ClosedPoint.sort_key)
+
+    def test_matches_factor_on_random_pairs(self):
+        rng = random.Random(71)
+        pool = self.pool()
+        seen = {"moebius": 0, "unramified": 0, "reducible": 0, "ramified": 0}
+        for i in range(250):
+            while True:
+                num = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
+                den = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
+                if (num or den) and not (f := rmap(num, den)).is_constant:
+                    break
+            # every fifth point a branch point, and every fifth the image of
+            # a pool point, whose fiber contains that point and so splits
+            point = rng.choice((i % 5 == 0 and self.branch_points(f)) or pool)
+            if i % 5 == 1:
+                point = point_image(f, point)
+            pulled = pullback_divisor(f, Divisor.of(point))
+            assert pulled == self.by_factor(f, point)
+            if f.degree == 1:
+                seen["moebius"] += 1
+            elif point.degree > 1:
+                mults = {m for _, m in pulled}
+                seen["ramified" if mults != {1} else "unramified"] += 1
+                seen["reducible"] += mults == {1} and len(pulled.support()) > 1
+        assert seen["moebius"] >= 30 and seen["unramified"] >= 90, seen
+        assert seen["reducible"] >= 15 and seen["ramified"] >= 30, seen
+
+    def test_lifts_only_what_the_certificate_leaves_open(self, monkeypatch):
+        # x^4 + 1 splits mod every prime, so the degree patterns of the whole
+        # polynomial never close; over x^2 + 1 = (x - 2)(x + 2) mod 5 the
+        # residue fiber x^2 - 2 is irreducible, which rules out K-degree 1.
+        # Both fibers are irreducible, as ClosedPoint.finite checks.
+        cases = [(SQ, False), (rmap(Poly((3, 3, 4)), Poly.constant(2)), True)]
+        expected = [Divisor.of(ClosedPoint.finite(fiber_data(f, self.SQRTM1)[0])) for f, _ in cases]
+        lifts = []
+        recombine = ratpoly._recombine
+        monkeypatch.setattr(ratpoly, "_recombine", lambda *args: lifts.append(1) or recombine(*args))
+        for (f, lifted), divisor in zip(cases, expected):
+            lifts.clear()
+            assert pullback_divisor(f, Divisor.of(self.SQRTM1)) == divisor
+            assert bool(lifts) == lifted
