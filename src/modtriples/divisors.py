@@ -9,7 +9,9 @@ constants at rational points.
 Pullbacks are computed through the homogenized degree form so that the
 point at infinity needs no chart swap: for a finite point with minimal
 polynomial p, the fiber polynomial of f = num/den is den^deg(p) *
-p(num/den) and the missing degree sits at infinity.
+p(num/den) and the missing degree sits at infinity.  Each (map, point)
+pair has one cached fiber record over Z[x]: the fiber form, then its
+squarefree part and its points, each computed once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Optional
 
 from .errors import DegenerateInput, NotEffective
@@ -466,6 +468,43 @@ def _ints(p: Poly) -> list[int]:
     return [c.numerator for c in p.coeffs]
 
 
+class _Fiber:
+    """The fiber of a nonconstant map over a point: ``ints``, the primitive integer fiber
+    form (ascending, positive leading coefficient), and ``k``, the deficit at infinity.
+    Its squarefree part and points are filled in on first use by one run of Yun, whose
+    parts a ramified fiber keeps until its points are built; a Moebius map needs none."""
+
+    __slots__ = ("ints", "k", "_sqf", "_parts", "_points")
+
+    def __init__(self, ints: tuple[int, ...], k: int, moebius: bool):
+        self.ints, self.k, self._parts = ints, k, None
+        self._sqf = ints if moebius or len(ints) == 1 else None
+        self._points = () if len(ints) == 1 else None
+
+    def squarefree(self) -> tuple[int, ...]:
+        if self._sqf is None:
+            parts = _zyun(self.ints)
+            if len(parts) == 1 and parts[0][0] == 1:
+                self._sqf = self.ints
+            else:
+                self._sqf, self._parts = tuple(reduce(_zmul, [p for _, p in parts])), parts
+        return self._sqf
+
+    def points(self, f: RationalMap, point: ClosedPoint) -> tuple[tuple[ClosedPoint, int], ...]:
+        if self._points is None:
+            if f.degree == 1:
+                self._points = ((ClosedPoint._raw(_monic_from_ints(self.ints)), 1),)
+            else:
+                sqf = self.squarefree()  # Yun, unless the squarefree part is known
+                parts = self._parts or [(1, sqf)]
+                # over infinity or a rational point the fiber form is its own fiber
+                fiber = None if point.degree == 1 else (
+                    point.minimal_poly.int_primitive()[1], _ints(f.num), _ints(f.den))
+                self._points = tuple((ClosedPoint._raw(q), m) for q, m in _factor_fiber(parts, fiber))
+                self._parts = None
+        return self._points
+
+
 def fiber_data(f: RationalMap, point: ClosedPoint) -> tuple[Poly, int]:
     """(g, k): the divisor f*[point] equals div0(g) + k*[infinity].
 
@@ -474,16 +513,17 @@ def fiber_data(f: RationalMap, point: ClosedPoint) -> tuple[Poly, int]:
     to a harmless constant), and k the degree deficit absorbed at
     infinity.
     """
-    if f.is_constant:
-        raise DegenerateInput("no fibers under a constant map")
-    return _fiber_cached(f, point)
+    fiber = _fiber_cached(f, point)
+    return Poly.from_int_coeffs(fiber.ints), fiber.k
 
 
 @lru_cache(maxsize=65536)
-def _fiber_cached(f: RationalMap, point: ClosedPoint) -> tuple[Poly, int]:
+def _fiber_cached(f: RationalMap, point: ClosedPoint) -> _Fiber:
+    if f.is_constant:  # an exception is not cached: no record
+        raise DegenerateInput("no fibers under a constant map")
     d = f.degree
     if point.is_infinity:
-        return f.den, d - int(f.den.degree)
+        return _Fiber(tuple(_zprimitive(_ints(f.den))), d - int(f.den.degree), d == 1)
     e = point.degree
     # maps are stored with integer coefficients; clear the point's
     # denominators too and work over Z (a constant factor is harmless)
@@ -502,8 +542,7 @@ def _fiber_cached(f: RationalMap, point: ClosedPoint) -> tuple[Poly, int]:
             den_pow = _zmul(den_pow, dz)
     if not acc:
         raise ArithmeticError("fiber form vanished; num/den were not coprime")
-    k = d * e - (len(acc) - 1)
-    return Poly.from_int_coeffs(acc), k
+    return _Fiber(tuple(_zprimitive(acc)), d * e - (len(acc) - 1), d == 1)
 
 
 def pullback_divisor(f: RationalMap, divisor: Divisor) -> Divisor:
@@ -512,18 +551,10 @@ def pullback_divisor(f: RationalMap, divisor: Divisor) -> Divisor:
         raise DegenerateInput("pullback needs a nonconstant map")
     acc: list[tuple[ClosedPoint, int]] = []
     for point, mult in divisor:
-        g, k = fiber_data(f, point)
-        if k:
-            acc.append((INFINITY, mult * k))
-        if g.is_constant:
-            continue
-        if f.degree == 1:  # a Moebius map takes a point to a point
-            acc.append((ClosedPoint._raw(g.monic()), mult))
-            continue
-        z = _zprimitive(_ints(g))  # over infinity or a rational point, g is its own fiber
-        fiber = ([0, 1], z, [1]) if point.degree == 1 else (
-            point.minimal_poly.int_primitive()[1], _ints(f.num), _ints(f.den))
-        acc.extend((ClosedPoint._raw(q), mult * m) for q, m in _factor_fiber(z, *fiber))
+        fiber = _fiber_cached(f, point)
+        if fiber.k:
+            acc.append((INFINITY, mult * fiber.k))
+        acc.extend((q, mult * m) for q, m in fiber.points(f, point))
     return Divisor(acc)
 
 
@@ -698,10 +729,7 @@ def squarefree_part(p: Poly) -> Poly:
     if p.is_constant:
         return Poly.one()
     _, f = p.int_primitive()
-    acc = [1]
-    for _, part in _zyun(f):
-        acc = _zmul(acc, part)
-    return _monic_from_ints(acc)
+    return _monic_from_ints(reduce(_zmul, [part for _, part in _zyun(f)]))
 
 
 # Products and quotients of primitive polynomials with positive leading
@@ -729,12 +757,11 @@ def preimage_locus(f: RationalMap, points: Iterable[ClosedPoint]) -> Locus:
     acc = [1]
     inf = False
     for p in pts:
-        g, k = fiber_data(f, p)
-        if k > 0:
+        fiber = _fiber_cached(f, p)
+        if fiber.k > 0:
             inf = True
-        if not g.is_constant:
-            for _, part in _zyun(_ints(g)):
-                acc = _zmul(acc, part)
+        if len(fiber.ints) > 1:
+            acc = _zmul(acc, fiber.squarefree())
     # fibers of distinct points are disjoint, so the product is squarefree
     return Locus(LocusKind.FINITE, tuple(acc), inf)
 
@@ -805,14 +832,6 @@ class FiberTerm:
     irreducible: bool = False
 
 
-def _term(
-    poly: Poly, coeff: int, map_key: int, point: ClosedPoint, irreducible: bool
-) -> Optional[FiberTerm]:
-    if len(poly.coeffs) <= 1:
-        return None
-    return FiberTerm(tuple(_zprimitive(_ints(poly))), coeff, map_key, point, irreducible)
-
-
 def _coprime_by_provenance(a: FiberTerm, b: FiberTerm) -> bool:
     return a.map_key == b.map_key and a.point != b.point
 
@@ -840,21 +859,19 @@ class PullbackComparison:
     def add_pullback(self, f: RationalMap, divisor: Divisor, sign: int, key: int) -> None:
         irr = f.is_identity
         for point, mult in divisor:
-            g, k = fiber_data(f, point)
-            self._inf_coeff += sign * mult * k
-            t = _term(g, sign * mult, key, point, irr)
-            if t:
-                self._terms.append(t)
+            fiber = _fiber_cached(f, point)
+            self._inf_coeff += sign * mult * fiber.k
+            if len(fiber.ints) > 1:
+                self._terms.append(FiberTerm(fiber.ints, sign * mult, key, point, irr))
 
     def add_escape_map(self, f: RationalMap, points: Iterable[ClosedPoint], key: int) -> None:
         irr = f.is_identity
         for point in points:
-            g, k = fiber_data(f, point)
-            if k > 0:
+            fiber = _fiber_cached(f, point)
+            if fiber.k > 0:
                 self._inf_escaped = True
-            t = _term(g, 0, key, point, irr)
-            if t:
-                self._escapes.append(t)
+            if len(fiber.ints) > 1:
+                self._escapes.append(FiberTerm(fiber.ints, 0, key, point, irr))
 
     def effective(self) -> bool:
         merged: dict[tuple[int, ClosedPoint], FiberTerm] = {}

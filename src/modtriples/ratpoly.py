@@ -685,10 +685,13 @@ def _residue_fibers(f: list[int], q: list[int], num: list[int], den: list[int], 
 def _factor_squarefree_int(f: list[int], q: list[int], num: list[int], den: list[int]) -> list[list[int]]:
     """Irreducible factors (primitive, positive lc) of a primitive squarefree fiber form
     f = c * den^e * q(num/den), q primitive irreducible of degree e, num and den coprime of
-    degree deg(f) / e.  Any squarefree f is its own trivial fiber q = x, num = f, den = 1."""
+    degree deg(f) / e.  Any squarefree f is its own trivial fiber q = x, num = f, den = 1.
+    A quadratic f is settled by its discriminant."""
     n = len(f) - 1
     if n <= 1:
         return [f]
+    if n == 2:
+        return _split_quadratic(f)
     open_m = set(range(1, n // (len(q) - 1)))
     good = ((p, fibers) for p in _primes()
             if (fibers := _residue_fibers(f, q, num, den, p)) is not None)
@@ -715,6 +718,17 @@ def _factor_squarefree_int(f: list[int], q: list[int], num: list[int], den: list
         target *= p
     lifted = _hensel_lift_list(f, parts, p, target)
     return _recombine(f, lifted, target)
+
+
+def _split_quadratic(f: list[int]) -> list[list[int]]:
+    """The factors (primitive, positive lc) of a primitive c + b*x + a*x^2: itself unless
+    b^2 - 4ac is a square s^2, else a*x^2 + b*x + c = (2a*x + b - s)(2a*x + b + s) / 4a."""
+    c, b, a = f
+    disc = b * b - 4 * a * c
+    s = math.isqrt(disc) if disc >= 0 else -1
+    if s * s != disc:
+        return [f]
+    return [_zprimitive([b - s, 2 * a]), _zprimitive([b + s, 2 * a])]
 
 
 def _recombine(f: list[int], lifted: list[list[int]], modulus: int) -> list[list[int]]:
@@ -814,18 +828,18 @@ def factor(p: Poly) -> FactoredPoly:
     if p.is_constant:
         return FactoredPoly(unit=unit, factors=())
     _, f = p.int_primitive()
-    collected = _factor_fiber(f, [0, 1], f, [1])
+    collected = _factor_fiber(_zyun(f))
     collected.sort(key=lambda item: item[0].sort_key())
     return FactoredPoly(unit=Fraction(unit), factors=tuple(collected))
 
 
-def _factor_fiber(f: list[int], q: list[int], num: list[int], den: list[int]) -> list[tuple[Poly, int]]:
-    """(monic irreducible factor, multiplicity) pairs of a nonconstant fiber
-    form f as ``_factor_squarefree_int`` takes it; a ramified f, one that is
-    not squarefree, is factored one Yun part at a time as trivial fibers."""
-    parts = _zyun(f)
-    if len(parts) == 1 and parts[0][0] == 1:
-        return [(_monic_from_ints(z), 1) for z in _factor_squarefree_int(f, q, num, den)]
+def _factor_fiber(parts: list[tuple[int, list[int]]], fiber: tuple | None = None) -> list[tuple[Poly, int]]:
+    """(monic irreducible factor, multiplicity) pairs of a nonconstant form given by its
+    ``_zyun`` parts.  An unramified form (one part, multiplicity 1) with a ``fiber``
+    (q, num, den) is certified as ``_factor_squarefree_int`` takes it; anything else is
+    factored one part at a time as trivial fibers."""
+    if fiber and len(parts) == 1 and parts[0][0] == 1:
+        return [(_monic_from_ints(z), 1) for z in _factor_squarefree_int(parts[0][1], *fiber)]
     return [(_monic_from_ints(z), m)
             for m, part in parts for z in _factor_squarefree_int(part, [0, 1], part, [1])]
 
@@ -845,9 +859,7 @@ def is_irreducible(p: Poly) -> bool:
         return True
     _, f = p.int_primitive()
     if n == 2:
-        c, b, a = f
-        disc = b * b - 4 * a * c
-        return disc < 0 or math.isqrt(disc) ** 2 != disc
+        return len(_split_quadratic(f)) == 1
     if _zgcd(f, _zderiv(f)) != [1]:
         return False
     return len(_factor_squarefree_int(f, [0, 1], f, [1])) == 1

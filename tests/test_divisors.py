@@ -27,6 +27,8 @@ from modtriples import (
 from modtriples.divisors import (
     Locus,
     LocusKind,
+    PullbackComparison,
+    _fiber_cached,
     fiber_data,
     locus_subset,
     locus_subtract,
@@ -598,5 +600,85 @@ class TestFiberFactoring:
         monkeypatch.setattr(ratpoly, "_recombine", lambda *args: lifts.append(1) or recombine(*args))
         for (f, lifted), divisor in zip(cases, expected):
             lifts.clear()
+            _fiber_cached.cache_clear()  # a fiber's points are built once per session
             assert pullback_divisor(f, Divisor.of(self.SQRTM1)) == divisor
             assert bool(lifts) == lifted
+
+
+class TestFiberRecords:
+    """The cached fiber record of each (map, point) pair serves pullback_divisor,
+    preimage_locus and PullbackComparison alike, whichever consumer fills it
+    first, and hands out nothing a caller could change."""
+
+    CONSTANT = RationalMap.constant(P1)
+
+    @staticmethod
+    def answers(f, point, g, other, order):
+        """The three consumers' answers for f over point, asked in the given
+        order; the comparison is of f*[point] against g*[other]."""
+        out = {}
+        for name in order:
+            if name == "pullback":
+                out[name] = pullback_divisor(f, Divisor.of(point))
+            elif name == "locus":
+                out[name] = preimage_locus(f, [point, other])
+            else:
+                cmp = PullbackComparison()
+                cmp.add_pullback(f, Divisor.of(point), +1, cmp.map_key())
+                cmp.add_pullback(g, Divisor.of(other), -1, cmp.map_key())
+                out[name] = cmp.effective()
+        return out
+
+    def test_cold_and_warm_caches_agree(self):
+        rng = random.Random(91)
+        pool = TestFiberFactoring.pool()
+        orders = [("pullback", "locus", "comparison"), ("locus", "comparison", "pullback")]
+        seen = {"pairs": 0, "ramified": 0, "effective": 0}
+        while seen["pairs"] < 200:
+            f, g = (TestIntegerLoci.random_map(rng) for _ in range(2))
+            if f.is_constant or g.is_constant:
+                continue
+            point, other = rng.choice(pool), rng.choice(pool)
+            if seen["pairs"] % 4 == 0:  # a branch point, so the fiber ramifies
+                point = rng.choice(TestFiberFactoring.branch_points(f) or pool)
+            if seen["pairs"] % 3 == 0:  # f*[point] against itself under another key
+                g, other = f, point
+            order = orders[seen["pairs"] % 2]
+            _fiber_cached.cache_clear()
+            cold = self.answers(f, point, g, other, order)
+            assert self.answers(f, point, g, other, order[::-1]) == cold
+            assert cold["pullback"] == TestFiberFactoring.by_factor(f, point)
+            pulled_g = pullback_divisor(g, Divisor.of(other))
+            assert cold["comparison"] == (cold["pullback"] - pulled_g).is_effective
+            for h, pt in ((f, point), (f, other), (g, other)):
+                rec = _fiber_cached(h, pt)
+                # every value the record hands out is immutable, and the Yun
+                # parts are gone once the points exist
+                assert all(type(v) is tuple for v in (rec.ints, rec.squarefree(), rec.points(h, pt)))
+                assert rec._parts is None
+            assert type(cold["locus"].poly) is tuple
+            seen["pairs"] += 1
+            seen["ramified"] += any(m > 1 for _, m in cold["pullback"])
+            seen["effective"] += cold["comparison"]
+        assert seen["ramified"] >= 30 and 20 <= seen["effective"] <= 180, seen
+        assert _fiber_cached.cache_info().hits > 0
+
+    def test_fiber_data_rejects_constant_maps(self):
+        with pytest.raises(DegenerateInput):
+            fiber_data(self.CONSTANT, SQRT2)
+
+    def test_pullback_rejects_constant_maps(self):
+        with pytest.raises(DegenerateInput):
+            pullback_divisor(self.CONSTANT, Divisor.of(SQRT2))
+
+    def test_add_pullback_rejects_constant_maps(self):
+        cmp = PullbackComparison()
+        with pytest.raises(DegenerateInput):
+            cmp.add_pullback(self.CONSTANT, Divisor.of(SQRT2), +1, cmp.map_key())
+
+    def test_add_escape_map_rejects_constant_maps(self):
+        _fiber_cached.cache_clear()
+        cmp = PullbackComparison()
+        with pytest.raises(DegenerateInput):
+            cmp.add_escape_map(self.CONSTANT, [SQRT2, INFINITY], cmp.map_key())
+        assert _fiber_cached.cache_info().currsize == 0  # no record was built

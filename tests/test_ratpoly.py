@@ -264,6 +264,32 @@ class TestFactor:
         assert out.unit == n
         assert out.factors == ((Poly([Fraction(tail, n)] + [0] * (degree - 1) + [1]), 1),)
 
+    def test_quadratics_against_rational_roots(self):
+        # a quadratic splits over Q exactly when it has a root r/s with r | c and s | a
+        rng = random.Random(81)
+        split = 0
+        for i in range(400):
+            if i % 2:
+                a, b = rng.randint(1, 12), rng.randint(-12, 12) or 1
+                cc, d = rng.randint(-12, 12) or 1, rng.randint(-12, 12) or 1
+                p = Poly((b, a)) * Poly((d, cc))
+            else:
+                p = Poly((rng.randint(-30, 30) or 1, rng.randint(-30, 30), rng.randint(1, 30)))
+            a0, a2 = int(p.coeffs[0]), int(p.coeffs[2])
+            roots = {Fraction(sgn * r, s) for r in range(1, abs(a0) + 1) if a0 % r == 0
+                     for s in range(1, abs(a2) + 1) if a2 % s == 0 for sgn in (1, -1)}
+            roots = {t for t in roots if p(t) == 0}
+            out = factor(p)
+            assert out.expand() == p
+            assert is_irreducible(p) == (not roots)
+            if roots:
+                split += 1
+                assert {-q.coeffs[0] for q, _ in out} == roots
+                assert all(q.degree == 1 for q, _ in out)
+            else:
+                assert out.factors == ((p.monic(), 1),)
+        assert split >= 200
+
     def test_outputs_certified_irreducible(self):
         samples = [
             X**4 + c(4),
