@@ -27,26 +27,27 @@ from .ratpoly import (
     Poly,
     _factor_fiber,
     _monic_from_ints,
-    _zadd,
     _zdiv_exact,
     _zgcd,
+    _zhomog,
     _zmul,
     _zprimitive,
+    _zresultant,
+    _zsub,
     _zyun,
     factor,
     is_irreducible,
-    poly_gcd,
-    resultant,
 )
 
 
 class ClosedPoint:
     """A closed point of P^1_Q: a monic irreducible polynomial, or infinity.
 
-    The hash and the sort key are computed once, at construction.
+    The hash and the sort key are computed once, at construction; the
+    integer form ``ints`` of a finite point on first use.
     """
 
-    __slots__ = ("minimal_poly", "_hash", "_key")
+    __slots__ = ("minimal_poly", "_hash", "_key", "_zform")
 
     def __init__(self, minimal_poly: Optional[Poly], _validated: bool = False):
         if minimal_poly is not None and not _validated:
@@ -60,6 +61,7 @@ class ClosedPoint:
         object.__setattr__(
             self, "_key", (0,) if minimal_poly is None else (1,) + minimal_poly.sort_key()
         )
+        object.__setattr__(self, "_zform", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClosedPoint is immutable")
@@ -89,6 +91,14 @@ class ClosedPoint:
     @property
     def degree(self) -> int:
         return 1 if self.minimal_poly is None else int(self.minimal_poly.degree)
+
+    @property
+    def ints(self) -> tuple[int, ...]:
+        """The primitive integer multiple of a finite point's minimal polynomial
+        with a positive leading coefficient, ascending."""
+        if self._zform is None:
+            object.__setattr__(self, "_zform", tuple(self.minimal_poly.int_primitive()[1]))
+        return self._zform
 
     def rational_value(self) -> Fraction:
         """The value of a finite degree-1 point."""
@@ -287,17 +297,22 @@ class RationalMap:
     """A self-map of the line: coprime num/den, or a constant rational point.
 
     Nonconstant maps are finite surjective of degree max(deg num, deg den);
-    they are stored with integer-primitive numerator and denominator
-    (coprime, joint content 1, positive denominator leading coefficient)
-    so equality is syntactic.  Constant maps carry a degree-1 point.
+    they are stored as integer coefficient tuples ``nz`` and ``dz``
+    (ascending; coprime, joint content 1, positive denominator leading
+    coefficient) so equality is syntactic.  ``num`` and ``den`` are Poly
+    views of them.  Constant maps carry a degree-1 point.  The hash is
+    computed once, at construction.
     """
 
-    __slots__ = ("num", "den", "const")
+    __slots__ = ("nz", "dz", "const", "_hash")
 
-    def __init__(self, num: Optional[Poly], den: Optional[Poly], const: Optional[ClosedPoint]):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init__(self, nz: Optional[tuple[int, ...]], dz: Optional[tuple[int, ...]],
+                 const: Optional[ClosedPoint]):
+        object.__setattr__(self, "nz", nz)
+        object.__setattr__(self, "dz", dz)
         object.__setattr__(self, "const", const)
+        # equal to the hash of ("map", num, den, const): an integral Poly hashes as its ints
+        object.__setattr__(self, "_hash", hash(("map", nz, dz, const)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMap is immutable")
@@ -322,28 +337,35 @@ class RationalMap:
 
     @classmethod
     def _from_ints(cls, ratio: Fraction, zn: list[int], zd: list[int]) -> "RationalMap":
-        # ratio * zn / zd for primitive zn, zd with positive leading
-        # coefficients; the quotients by their primitive gcd stay so
-        g = _zgcd(zn, zd)
+        # ratio * zn / zd for nonzero integer forms zn, zd
+        pn, pd = _zprimitive(zn), _zprimitive(zd)
+        ratio *= Fraction(zn[-1] // pn[-1], zd[-1] // pd[-1])
+        g = _zgcd(pn, pd)
         if len(g) > 1:
-            zn, zd = _zdiv_exact(zn, g), _zdiv_exact(zd, g)
-        if len(zn) == 1 and len(zd) == 1:
+            pn, pd = _zdiv_exact(pn, g), _zdiv_exact(pd, g)
+        if len(pn) == 1 and len(pd) == 1:
             return cls.constant(ClosedPoint.rational(ratio))
         # joint scaling: keep both integral with coprime contents
         a, b = ratio.numerator, ratio.denominator
-        num = Poly.from_int_coeffs([v * a for v in zn])
-        den = Poly.from_int_coeffs([v * b for v in zd])
-        return cls(num, den, None)
+        return cls(tuple(v * a for v in pn), tuple(v * b for v in pd), None)
 
     @classmethod
     def identity(cls) -> "RationalMap":
-        return cls(Poly.x(), Poly.one(), None)
+        return cls((0, 1), (1,), None)
 
     @classmethod
     def polynomial(cls, p: Poly) -> "RationalMap":
         return cls.from_fraction(p, Poly.one())
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def num(self) -> Optional[Poly]:
+        return None if self.nz is None else Poly.from_int_coeffs(self.nz)
+
+    @property
+    def den(self) -> Optional[Poly]:
+        return None if self.dz is None else Poly.from_int_coeffs(self.dz)
 
     @property
     def is_constant(self) -> bool:
@@ -359,27 +381,31 @@ class RationalMap:
     def degree(self) -> int:
         if self.is_constant:
             return 0
-        return max(int(self.num.degree), int(self.den.degree))
+        return max(len(self.nz), len(self.dz)) - 1
 
     @property
     def is_identity(self) -> bool:
-        return self.num == Poly.x() and self.den == Poly.one()
+        return self.nz == (0, 1) and self.dz == (1,)
 
     def sort_key(self) -> tuple:
+        # Poly.sort_key of the views, which order integral coefficients as ints
         if self.is_constant:
             return (0,) + self.const.sort_key()
-        return (1, self.num.sort_key(), self.den.sort_key())
+        return (1, (len(self.nz), self.nz[::-1]), (len(self.dz), self.dz[::-1]))
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, RationalMap)
-            and self.num == other.num
-            and self.den == other.den
+            and self._hash == other._hash
+            and self.nz == other.nz
+            and self.dz == other.dz
             and self.const == other.const
         )
 
     def __hash__(self) -> int:
-        return hash(("map", self.num, self.den, self.const))
+        return self._hash
 
     def __repr__(self) -> str:
         from .formats import map_to_text
@@ -392,26 +418,29 @@ class RationalMap:
         """Image of a rational point (degree-1 or infinity)."""
         if self.is_constant:
             return self.const
+        nz, dz = self.nz, self.dz
         if point.is_infinity:
-            dn, dd = int(self.num.degree), int(self.den.degree)
-            if dn > dd:
+            if len(nz) > len(dz):
                 return INFINITY
-            if dn < dd:
+            if len(nz) < len(dz):
                 return ClosedPoint.rational(0)
-            return ClosedPoint.rational(self.num.leading / self.den.leading)
+            return ClosedPoint.rational(Fraction(nz[-1], dz[-1]))
         c = point.rational_value()
-        dv = self.den(c)
+        dv = _evaluate(dz, c)
         if not dv:
             return INFINITY
-        return ClosedPoint.rational(self.num(c) / dv)
+        return ClosedPoint.rational(_evaluate(nz, c) / dv)
 
     def inverse(self) -> "RationalMap":
         """Inverse of a degree-1 map (a Moebius transformation)."""
         if self.is_constant or self.degree != 1:
             raise DegenerateInput("only degree-1 maps are invertible")
-        a, b = self.num[1], self.num[0]
-        c, d = self.den[1], self.den[0]
+        (b, a), (d, c) = (self.nz + (0,))[:2], (self.dz + (0,))[:2]
         return RationalMap.from_fraction(Poly((-b, d)), Poly((a, -c)))
+
+
+def _evaluate(z: tuple[int, ...], c: Fraction) -> Fraction:
+    return reduce(lambda acc, v: acc * c + v, reversed(z), Fraction(0))
 
 
 def compose_maps(outer: RationalMap, inner: RationalMap) -> RationalMap:
@@ -424,30 +453,11 @@ def compose_maps(outer: RationalMap, inner: RationalMap) -> RationalMap:
         return outer
     if outer.is_identity:
         return inner
-    # outer's homogenized forms at (inner.num, inner.den), over Z
-    d = outer.degree
-    on, od = _ints(outer.num), _ints(outer.den)
-    on += [0] * (d + 1 - len(on))
-    od += [0] * (d + 1 - len(od))
-    nz, dz = _ints(inner.num), _ints(inner.den)
-    num_pows = [[1]]
-    den_pows = [[1]]
-    for _ in range(d):
-        num_pows.append(_zmul(num_pows[-1], nz))
-        den_pows.append(_zmul(den_pows[-1], dz))
-    new_num: list[int] = []
-    new_den: list[int] = []
-    for i, (cn, cd) in enumerate(zip(on, od)):
-        if cn or cd:
-            term = _zmul(num_pows[i], den_pows[d - i])
-            if cn:
-                new_num = _zadd(new_num, [cn * v for v in term])
-            if cd:
-                new_den = _zadd(new_den, [cd * v for v in term])
-    # neither form vanishes: inner is nonconstant, so its image is infinite
-    zn, zd = _zprimitive(new_num), _zprimitive(new_den)
+    # outer's homogenized forms at (inner.num, inner.den); neither vanishes,
+    # since inner is nonconstant and so its image is infinite
+    d, nz, dz = outer.degree, inner.nz, inner.dz
     return RationalMap._from_ints(
-        Fraction(new_num[-1] // zn[-1], new_den[-1] // zd[-1]), zn, zd
+        Fraction(1), _zhomog(outer.nz, nz, dz, d), _zhomog(outer.dz, nz, dz, d)
     )
 
 
@@ -455,17 +465,12 @@ def multiply_maps(f: RationalMap, g: RationalMap) -> RationalMap:
     """Product of f and g as rational functions."""
     if f.is_constant or g.is_constant:
         raise DegenerateInput("products are formed from nonconstant maps here")
-    return RationalMap.from_fraction(f.num * g.num, f.den * g.den)
+    return RationalMap._from_ints(Fraction(1), _zmul(f.nz, g.nz), _zmul(f.dz, g.dz))
 
 
 # ---------------------------------------------------------------------------
 # fibers: the homogenized composite behind every pullback
 # ---------------------------------------------------------------------------
-
-
-def _ints(p: Poly) -> list[int]:
-    # the coefficients of a polynomial known to be integral
-    return [c.numerator for c in p.coeffs]
 
 
 class _Fiber:
@@ -498,8 +503,7 @@ class _Fiber:
                 sqf = self.squarefree()  # Yun, unless the squarefree part is known
                 parts = self._parts or [(1, sqf)]
                 # over infinity or a rational point the fiber form is its own fiber
-                fiber = None if point.degree == 1 else (
-                    point.minimal_poly.int_primitive()[1], _ints(f.num), _ints(f.den))
+                fiber = None if point.degree == 1 else (point.ints, f.nz, f.dz)
                 self._points = tuple((ClosedPoint._raw(q), m) for q, m in _factor_fiber(parts, fiber))
                 self._parts = None
         return self._points
@@ -523,23 +527,10 @@ def _fiber_cached(f: RationalMap, point: ClosedPoint) -> _Fiber:
         raise DegenerateInput("no fibers under a constant map")
     d = f.degree
     if point.is_infinity:
-        return _Fiber(tuple(_zprimitive(_ints(f.den))), d - int(f.den.degree), d == 1)
+        return _Fiber(tuple(_zprimitive(f.dz)), d + 1 - len(f.dz), d == 1)
+    # the point's integer form at (num, den): a constant factor is harmless
     e = point.degree
-    # maps are stored with integer coefficients; clear the point's
-    # denominators too and work over Z (a constant factor is harmless)
-    _, pz = point.minimal_poly.int_primitive()
-    nz, dz = _ints(f.num), _ints(f.den)
-    num_pows: list[list[int]] = [[1]]
-    for _ in range(e):
-        num_pows.append(_zmul(num_pows[-1], nz))
-    acc: list[int] = []
-    den_pow = [1]
-    for i in range(e, -1, -1):
-        c = pz[i]
-        if c:
-            acc = _zadd(acc, [c * v for v in _zmul(num_pows[i], den_pow)])
-        if i:
-            den_pow = _zmul(den_pow, dz)
+    acc = _zhomog(point.ints, f.nz, f.dz, e)
     if not acc:
         raise ArithmeticError("fiber form vanished; num/den were not coprime")
     return _Fiber(tuple(_zprimitive(acc)), d * e - (len(acc) - 1), d == 1)
@@ -569,23 +560,21 @@ def point_image(f: RationalMap, point: ClosedPoint) -> ClosedPoint:
         return f.const
     if point.is_infinity or point.degree == 1:
         return f.value_at(point)
-    p = point.minimal_poly
-    if poly_gcd(p, f.den).degree == p.degree:
+    pz, nz, dz = point.ints, f.nz, f.dz
+    if _zdiv_exact(dz, pz) is not None:
         return INFINITY
-    e = int(p.degree)
-    # avoid the single sample where the t-degree of y*den - num drops
+    # avoid the single sample where the t-degree of y*den - num drops;
+    # p's integer form scales every sample by one constant
     bad: Optional[Fraction] = None
-    dn, dd = int(f.num.degree), int(f.den.degree)
-    if dd > dn:
+    if len(dz) > len(nz):
         bad = Fraction(0)
-    elif dd == dn:
-        bad = f.num.leading / f.den.leading
+    elif len(dz) == len(nz):
+        bad = Fraction(nz[-1], dz[-1])
     samples: list[tuple[Fraction, Fraction]] = []
-    y = Fraction(1)
-    while len(samples) < e + 1:
-        if bad is None or y != bad:
-            q = f.den.scale(y) - f.num
-            samples.append((y, resultant(p, q)))
+    y = 1
+    while len(samples) < point.degree + 1:
+        if y != bad:
+            samples.append((Fraction(y), _zresultant(pz, _zsub([y * v for v in dz], nz))))
         y += 1
     eliminant = _interpolate(samples)
     parts = factor(eliminant).factors
@@ -745,7 +734,7 @@ def points_locus(points: Iterable[ClosedPoint]) -> Locus:
         if p.is_infinity:
             inf = True
         else:
-            acc = _zmul(acc, p.minimal_poly.int_primitive()[1])
+            acc = _zmul(acc, p.ints)
     return Locus(LocusKind.FINITE, tuple(acc), inf)
 
 
@@ -827,13 +816,13 @@ class FiberTerm:
 
     poly: tuple[int, ...]  # primitive integer coefficients
     coeff: int
-    map_key: int
+    map: RationalMap
     point: ClosedPoint
     irreducible: bool = False
 
 
 def _coprime_by_provenance(a: FiberTerm, b: FiberTerm) -> bool:
-    return a.map_key == b.map_key and a.point != b.point
+    return a.map == b.map and a.point != b.point
 
 
 class PullbackComparison:
@@ -850,37 +839,32 @@ class PullbackComparison:
         self._escapes: list[FiberTerm] = []
         self._inf_coeff = 0
         self._inf_escaped = False
-        self._next_key = 0
 
-    def map_key(self) -> int:
-        self._next_key += 1
-        return self._next_key
-
-    def add_pullback(self, f: RationalMap, divisor: Divisor, sign: int, key: int) -> None:
+    def add_pullback(self, f: RationalMap, divisor: Divisor, sign: int) -> None:
         irr = f.is_identity
         for point, mult in divisor:
             fiber = _fiber_cached(f, point)
             self._inf_coeff += sign * mult * fiber.k
             if len(fiber.ints) > 1:
-                self._terms.append(FiberTerm(fiber.ints, sign * mult, key, point, irr))
+                self._terms.append(FiberTerm(fiber.ints, sign * mult, f, point, irr))
 
-    def add_escape_map(self, f: RationalMap, points: Iterable[ClosedPoint], key: int) -> None:
+    def add_escape_map(self, f: RationalMap, points: Iterable[ClosedPoint]) -> None:
         irr = f.is_identity
         for point in points:
             fiber = _fiber_cached(f, point)
             if fiber.k > 0:
                 self._inf_escaped = True
             if len(fiber.ints) > 1:
-                self._escapes.append(FiberTerm(fiber.ints, 0, key, point, irr))
+                self._escapes.append(FiberTerm(fiber.ints, 0, f, point, irr))
 
     def effective(self) -> bool:
-        merged: dict[tuple[int, ClosedPoint], FiberTerm] = {}
+        merged: dict[tuple[RationalMap, ClosedPoint], FiberTerm] = {}
         for t in self._terms:
-            k = (t.map_key, t.point)
+            k = (t.map, t.point)
             if k in merged:
                 prev = merged[k]
                 merged[k] = FiberTerm(
-                    prev.poly, prev.coeff + t.coeff, t.map_key, t.point, prev.irreducible
+                    prev.poly, prev.coeff + t.coeff, t.map, t.point, prev.irreducible
                 )
             else:
                 merged[k] = t

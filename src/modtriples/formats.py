@@ -324,7 +324,7 @@ def map_to_json(f: RationalMap) -> dict:
 def map_to_text(f: RationalMap) -> str:
     if f.is_constant:
         return f"const {point_to_text(f.value)}"
-    if f.den == Poly.one():
+    if f.dz == (1,):
         return poly_to_text(f.num)
     return f"({poly_to_text(f.num)})/({poly_to_text(f.den)})"
 

@@ -4,7 +4,9 @@ These deliberately avoid the main code paths they certify: the
 divisor oracles enumerate every common lower bound, and the
 irreducibility oracle works from rational roots, naive trial-division
 factor patterns over small prime fields, and bounded integer factor
-enumeration.  Nothing here touches the Hensel machinery.
+enumeration.  Nothing here touches the Hensel machinery: of the kernel
+only ``Poly`` is used, and division mod p and over Z is done here by
+schoolbook.
 """
 
 from __future__ import annotations
@@ -84,6 +86,50 @@ def rational_roots(ints: list[int]) -> list:
     return roots
 
 
+def _reduce_mod_p(a: list[int], p: int) -> list[int]:
+    out = [c % p for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _divmod_mod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Schoolbook quotient and remainder of a by a nonzero b mod p."""
+    rem, b = _reduce_mod_p(a, p), _reduce_mod_p(b, p)
+    inv = pow(b[-1], -1, p)
+    quo = [0] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        c = quo[shift] = rem[-1] * inv % p
+        for j, bc in enumerate(b):
+            rem[shift + j] -= c * bc
+        rem = _reduce_mod_p(rem, p)
+    return quo, rem
+
+
+def _gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd mod p by Euclid's algorithm, up to a unit."""
+    a, b = _reduce_mod_p(a, p), _reduce_mod_p(b, p)
+    while b:
+        a, b = b, _divmod_mod_p(a, b, p)[1]
+    return a
+
+
+def _divides_over_z(b: list[int], a: list[int]) -> bool:
+    """Whether b divides a in Z[x], by schoolbook division."""
+    rem = list(a)
+    while len(rem) >= len(b):
+        c, r = divmod(rem[-1], b[-1])
+        if r:
+            return False
+        shift = len(rem) - len(b)
+        for j, bc in enumerate(b):
+            rem[shift + j] -= c * bc
+        while rem and not rem[-1]:
+            rem.pop()
+    return not rem
+
+
 def _naive_factor_degrees_mod_p(f: list[int], p: int) -> Optional[list[int]]:
     """Degree multiset of the irreducible factors of f mod p, by trial division.
 
@@ -92,11 +138,10 @@ def _naive_factor_degrees_mod_p(f: list[int], p: int) -> Optional[list[int]]:
     """
     if f[-1] % p == 0:
         return None
-    from .ratpoly import _pdivmod, _pgcd, _pmonic, _trim
-
-    g = _pmonic(f, p)
-    deriv = _trim([i * c % p for i, c in enumerate(g)][1:])
-    if not deriv or len(_pgcd(g, deriv, p)) != 1:
+    inv = pow(f[-1], -1, p)
+    g = [c * inv % p for c in f]
+    deriv = _reduce_mod_p([i * c for i, c in enumerate(g)][1:], p)
+    if not deriv or len(_gcd_mod_p(g, deriv, p)) != 1:
         return None
     degrees = []
     d = 1
@@ -107,7 +152,7 @@ def _naive_factor_degrees_mod_p(f: list[int], p: int) -> Optional[list[int]]:
             progressed = False
             for cand_tail in itertools.product(range(p), repeat=d):
                 cand = list(cand_tail) + [1]
-                quo, rem = _pdivmod(g, cand, p)
+                quo, rem = _divmod_mod_p(g, cand, p)
                 if not rem:
                     degrees.append(d)
                     g = quo
@@ -129,8 +174,6 @@ def _possible_factor_degrees(degrees: list[int]) -> set[int]:
 
 def _enumerate_factor(ints: list[int], d: int, budget: int) -> Optional[list[int]]:
     """Search for an integer factor of exact degree d; None if there is none."""
-    from .ratpoly import _zdiv_exact
-
     norm2 = math.isqrt(sum(c * c for c in ints)) + 1
     bound = (1 << d) * norm2
     lead_choices = _divisors_of(ints[-1])
@@ -143,7 +186,7 @@ def _enumerate_factor(ints: list[int], d: int, budget: int) -> Optional[list[int
         for tail in tail_choices:
             for mids in itertools.product(range(-bound, bound + 1), repeat=middle):
                 cand = [tail, *mids, lead]
-                if _zdiv_exact(list(ints), cand) is not None:
+                if _divides_over_z(cand, ints):
                     return cand
     return None
 

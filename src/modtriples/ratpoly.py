@@ -224,7 +224,7 @@ class Poly:
 
     @classmethod
     def from_int_coeffs(cls, ints: Iterable[int]) -> "Poly":
-        return cls(tuple(Fraction(v) for v in ints))
+        return cls._raw(tuple(_trim([Fraction(v) for v in ints])))
 
     # -- comparison / display -------------------------------------------
 
@@ -303,6 +303,21 @@ def _zpow(a: list[int], n: int) -> list[int]:
         if n:  # the square after the top bit would go unused
             a = _zmul(a, a)
     return result
+
+
+def _zhomog(c: list[int], num: list[int], den: list[int], d: int) -> list[int]:
+    """The homogenized substitution sum(c[i] * num^i * den^(d - i)) for len(c) <= d + 1,
+    by Horner's rule from the top coefficient."""
+    acc: list[int] = []
+    den_pow = [1]
+    for i in range(d, -1, -1):
+        if acc:
+            acc = _zmul(acc, num)
+        if i < len(c) and c[i]:
+            acc = _zadd(acc, [c[i] * v for v in den_pow])
+        if i:
+            den_pow = _zmul(den_pow, den)
+    return acc
 
 
 def _zcontent(a: list[int]) -> int:
@@ -669,11 +684,7 @@ def _residue_fibers(f: list[int], q: list[int], num: list[int], den: list[int], 
         fibers = []
         for c, b in _pddf(_pmonic(q, p), p):
             for r in _pedf(b, c, p, random.Random(p)):
-                g, den_pow = [r[-1]], [1]
-                for coeff in reversed(r[:-1]):  # Horner in the homogenized form
-                    den_pow = _pmod(_zmul(den_pow, den), p)
-                    g = _pmod(_zadd(_zmul(g, num), [coeff * v for v in den_pow]), p)
-                fibers.append((c, g))
+                fibers.append((c, _pmod(_zhomog(r, num, den, c), p)))
     out = []
     for c, g in fibers:
         if len(_pgcd(g, _zderiv(g), p)) != 1:

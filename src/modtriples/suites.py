@@ -185,18 +185,19 @@ class Recorder:
 # ---------------------------------------------------------------------------
 
 
+_POINT_POOL = (
+    ClosedPoint.rational(0),
+    ClosedPoint.rational(1),
+    ClosedPoint.rational(-1),
+    ClosedPoint.rational(2),
+    ClosedPoint.finite(Poly((1, 0, 1))),
+    ClosedPoint.finite(Poly((-2, 0, 1))),
+    INFINITY,
+)
+
+
 def point_pool() -> list[ClosedPoint]:
-    x = Poly.x()
-    one = Poly.one()
-    return [
-        ClosedPoint.rational(0),
-        ClosedPoint.rational(1),
-        ClosedPoint.rational(-1),
-        ClosedPoint.rational(2),
-        ClosedPoint.finite(x * x + one),
-        ClosedPoint.finite(x * x - Poly.constant(2)),
-        INFINITY,
-    ]
+    return list(_POINT_POOL)
 
 
 def rational_pool() -> list[ClosedPoint]:
@@ -344,13 +345,11 @@ def minus_transfer_holds(comp: Component, s: ModulusTriple, t: ModulusTriple) ->
         if not t.in_interior(comp.b.value):
             return True  # no interior part at all
     cmp = PullbackComparison()
-    a_key = cmp.map_key()
-    cmp.add_pullback(comp.a, s.minus, -1, a_key)
-    cmp.add_escape_map(comp.a, s.bad_set(), a_key)
+    cmp.add_pullback(comp.a, s.minus, -1)
+    cmp.add_escape_map(comp.a, s.bad_set())
     if not comp.b.is_constant:
-        b_key = cmp.map_key()
-        cmp.add_pullback(comp.b, t.minus, +1, b_key)
-        cmp.add_escape_map(comp.b, t.bad_set(), b_key)
+        cmp.add_pullback(comp.b, t.minus, +1)
+        cmp.add_escape_map(comp.b, t.bad_set())
         hit_minus = preimage_locus(comp.b, t.minus.support())
         off_t = preimage_locus(comp.b, t.bad_set())
     else:

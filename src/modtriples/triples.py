@@ -247,9 +247,8 @@ def modulus_condition(m: CheckedMap, data: ProductData) -> bool:
     if m.a.is_constant:
         raise NotFiniteOverSource("the source leg of a line component must be nonconstant")
     cmp = PullbackComparison()
-    a_key = cmp.map_key()
-    cmp.add_pullback(m.a, s.plus, +1, a_key)
-    cmp.add_pullback(m.a, s.minus, -1, a_key)
+    cmp.add_pullback(m.a, s.plus, +1)
+    cmp.add_pullback(m.a, s.minus, -1)
     if m.b.is_constant:
         c = m.b.value
         if c in t.minus.support():
@@ -257,13 +256,12 @@ def modulus_condition(m: CheckedMap, data: ProductData) -> bool:
         if c in t.plus.support():
             return False
     else:
-        b_key = cmp.map_key()
-        cmp.add_pullback(m.b, t.minus, +1, b_key)
-        cmp.add_pullback(m.b, t.plus, -1, b_key)
+        cmp.add_pullback(m.b, t.minus, +1)
+        cmp.add_pullback(m.b, t.plus, -1)
         if not t.total.is_proper:
-            cmp.add_escape_map(m.b, t.total.boundary, b_key)
+            cmp.add_escape_map(m.b, t.total.boundary)
     if not s.total.is_proper:
-        cmp.add_escape_map(m.a, s.total.boundary, a_key)
+        cmp.add_escape_map(m.a, s.total.boundary)
     return cmp.effective()
 
 

@@ -295,6 +295,54 @@ class TestCachedHashes:
         assert d.entries == ((P0, 1),) and d.multiplicity(P0) == 1
 
 
+class TestMapRepresentation:
+    """Maps keep integer tuples and points their integer form; the Poly views
+    give the same sort keys, hashes and maps."""
+
+    @staticmethod
+    def seeded_maps() -> list[RationalMap]:
+        rng = random.Random(71)
+        maps = [
+            RationalMap.identity(),
+            rmap(X.scale(2), Poly.constant(2)),  # x/1 after normalization
+            rmap(-X, -ONE),
+            rmap(X.scale(Fraction(1, 3)), ONE),
+            rmap(X, Poly.constant(-1)),
+            rmap(ONE, X),
+        ]
+        maps += [RationalMap.constant(p) for p in (INFINITY, P0, P1, ClosedPoint.rational(Fraction(-5, 7)))]
+        for _ in range(40):
+            a, b, c, d = (rng.randint(-6, 6) for _ in range(4))
+            if a * d != b * c:  # a Moebius map
+                maps.append(rmap(Poly((b, a)), Poly((d, c))))
+        maps += [TestIntegerLoci.random_map(rng) for _ in range(40)]
+        for _ in range(60):
+            maps.append(compose_maps(rng.choice(maps), rng.choice(maps)))
+        return maps
+
+    def test_views_keys_and_hashes(self):
+        maps = self.seeded_maps()
+        for f in maps:
+            if f.is_constant:
+                assert f.num is None and f.den is None
+                assert f.sort_key() == (0,) + f.const.sort_key()
+                assert hash(f) == hash(("map", None, None, f.const))
+                continue
+            assert f.sort_key() == (1, f.num.sort_key(), f.den.sort_key())
+            assert hash(f) == hash(("map", f.num, f.den, None))
+            assert RationalMap.from_fraction(f.num, f.den) == f
+            assert f.is_identity == (f.num == X and f.den == ONE)
+            assert all(isinstance(v, int) for v in f.nz + f.dz)
+        assert sum(f.is_identity for f in maps) >= 3
+        assert sum(not f.is_constant and f.degree == 1 for f in maps) >= 30
+
+    def test_point_integer_form(self):
+        for point in TestIntegerLoci.POOL[1:]:
+            ints = point.ints
+            assert ints == tuple(point.minimal_poly.int_primitive()[1])
+            assert point.ints is ints  # computed once
+
+
 class TestIntegerLoci:
     """The Z[x] locus algebra and map composition against Fraction references.
 
@@ -624,8 +672,8 @@ class TestFiberRecords:
                 out[name] = preimage_locus(f, [point, other])
             else:
                 cmp = PullbackComparison()
-                cmp.add_pullback(f, Divisor.of(point), +1, cmp.map_key())
-                cmp.add_pullback(g, Divisor.of(other), -1, cmp.map_key())
+                cmp.add_pullback(f, Divisor.of(point), +1)
+                cmp.add_pullback(g, Divisor.of(other), -1)
                 out[name] = cmp.effective()
         return out
 
@@ -663,6 +711,30 @@ class TestFiberRecords:
         assert seen["ramified"] >= 30 and 20 <= seen["effective"] <= 180, seen
         assert _fiber_cached.cache_info().hits > 0
 
+    def test_comparison_across_legs(self):
+        # g = f + 1 pulls [P + 1] back to f*[P]: fibers of distinct points under
+        # distinct maps share factors, while the same map on both legs merges terms
+        rng = random.Random(93)
+        shift = rmap(X + ONE)
+        seen = {"same map": 0, "shifted": 0, "effective": 0}
+        for _ in range(120):
+            f = TestIntegerLoci.random_map(rng)
+            if f.is_constant:
+                continue
+            same = rng.random() < 0.4
+            g = f if same else compose_maps(shift, f)
+            points = rng.sample(TestIntegerLoci.POOL, rng.randint(1, 3))
+            d1 = Divisor((p, rng.randint(1, 3)) for p in points)
+            d2 = Divisor((p if same else point_image(shift, p), rng.randint(1, 3)) for p in points)
+            cmp = PullbackComparison()
+            cmp.add_pullback(f, d1, +1)
+            cmp.add_pullback(g, d2, -1)
+            expected = (pullback_divisor(f, d1) - pullback_divisor(g, d2)).is_effective
+            assert cmp.effective() == expected
+            seen["same map" if same else "shifted"] += 1
+            seen["effective"] += expected
+        assert min(seen.values()) >= 15, seen
+
     def test_fiber_data_rejects_constant_maps(self):
         with pytest.raises(DegenerateInput):
             fiber_data(self.CONSTANT, SQRT2)
@@ -674,11 +746,11 @@ class TestFiberRecords:
     def test_add_pullback_rejects_constant_maps(self):
         cmp = PullbackComparison()
         with pytest.raises(DegenerateInput):
-            cmp.add_pullback(self.CONSTANT, Divisor.of(SQRT2), +1, cmp.map_key())
+            cmp.add_pullback(self.CONSTANT, Divisor.of(SQRT2), +1)
 
     def test_add_escape_map_rejects_constant_maps(self):
         _fiber_cached.cache_clear()
         cmp = PullbackComparison()
         with pytest.raises(DegenerateInput):
-            cmp.add_escape_map(self.CONSTANT, [SQRT2, INFINITY], cmp.map_key())
+            cmp.add_escape_map(self.CONSTANT, [SQRT2, INFINITY])
         assert _fiber_cached.cache_info().currsize == 0  # no record was built

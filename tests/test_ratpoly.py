@@ -1,8 +1,10 @@
 """Kernel tests: gcd, squarefree decomposition, factorization, resultants."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,9 @@ from modtriples import (
     squarefree_decomposition,
 )
 from modtriples.divisors import squarefree_part
+from modtriples import oracles
 from modtriples.oracles import OracleBudgetExceeded, verify_irreducible
-from modtriples.ratpoly import _pddf, _pdivmod, _pgcd, _pmonic, _ppowmod, _zderiv, _zsub
+from modtriples.ratpoly import _pddf, _pdivmod, _pgcd, _pmonic, _ppowmod, _zderiv, _zhomog, _zsub
 
 X = Poly.x()
 ONE = Poly.one()
@@ -425,6 +428,18 @@ class TestIsIrreducible:
         assert oracle_checked >= 8
 
 
+    def test_oracle_imports_only_poly_from_the_kernel(self):
+        # the oracle certifies the kernel, so it must not run on the kernel's routines
+        tree = ast.parse(Path(oracles.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any("ratpoly" in alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and "ratpoly" in (node.module or ""):
+                imported |= {alias.name for alias in node.names}
+        assert imported == {"Poly"}
+
+
 class TestIntegerForm:
     @pytest.mark.parametrize("seed", range(4))
     def test_sort_key_orders_like_fractions(self, seed):
@@ -470,6 +485,33 @@ class TestIntegerForm:
             assert ints == [int(v) // g for v in scaled]
             assert content == Fraction(g, lcm)
             assert Poly(ints).scale(content) == p
+
+
+class TestHomogenizedSubstitution:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_fraction_sum(self, seed):
+        rng = random.Random(seed)
+
+        def nonzero_poly(length: int) -> list[int]:
+            return [rng.randint(-6, 6) for _ in range(length - 1)] + [rng.choice([-3, -1, 1, 2, 5])]
+
+        seen = {"short": 0, "zero coefficient": 0, "d = 0": 0}
+        for _ in range(80):
+            d = rng.randint(0, 5)
+            c = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(rng.randint(0, d))]
+            c.append(rng.choice([-4, -1, 1, 3]))
+            num, den = nonzero_poly(rng.randint(1, 4)), nonzero_poly(rng.randint(1, 4))
+            ref = Poly.zero()
+            for i, ci in enumerate(c):
+                powers = [Poly(num)] * i + [Poly(den)] * (d - i)
+                ref = ref + math.prod(powers, start=ONE).scale(ci)
+            out = _zhomog(c, num, den, d)
+            assert not out or out[-1]  # trimmed
+            assert Poly(out) == ref
+            seen["short"] += len(c) <= d
+            seen["zero coefficient"] += 0 in c
+            seen["d = 0"] += d == 0
+        assert min(seen.values()) >= 5, seen
 
 
 class TestResultant:
