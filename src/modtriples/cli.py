@@ -140,36 +140,21 @@ def _check_class(args, started) -> int:
     return 0
 
 
-def _check_iy(args, started) -> int:
-    f = _load(args.map, "map")
-    o1 = _load(args.from_obj, "iy")
-    o2 = _load(args.to_obj, "iy")
-    ok = is_iy_morphism(f, o1, o2)
-    _emit(args, _report("check iy", {"map": formats.map_to_json(f)},
-                        "yes" if ok else "no", {}, started),
-          f"morphism: {'yes' if ok else 'no'}")
-    return 0 if ok else 1
+# check verbs on a map or a cycle between two bridge objects: name -> (subject, object kind)
+_BRIDGE_CHECKS = {"iy": ("map", "iy"), "mlog": ("map", "mlog"), "ne-hom": ("cycle", "ne")}
 
 
-def _check_mlog(args, started) -> int:
-    f = _load(args.map, "map")
-    o1 = _load(args.from_obj, "mlog")
-    o2 = _load(args.to_obj, "mlog")
-    ok = is_mlog_morphism(f, o1, o2)
-    _emit(args, _report("check mlog", {"map": formats.map_to_json(f)},
-                        "yes" if ok else "no", {}, started),
-          f"morphism: {'yes' if ok else 'no'}")
-    return 0 if ok else 1
-
-
-def _check_ne_hom(args, started) -> int:
-    cycle = _load(args.cycle, "cycle")
-    x = _load(args.from_obj, "ne")
-    y = _load(args.to_obj, "ne")
-    ok = ne_hom_member(cycle, x, y)
-    _emit(args, _report("check ne-hom", formats.cycle_to_json(cycle),
-                        "yes" if ok else "no", {}, started),
-          f"member: {'yes' if ok else 'no'}")
+def _check_bridge(args, started) -> int:
+    name = args.predicate
+    kind, obj = _BRIDGE_CHECKS[name]
+    subject = _load(getattr(args, kind), kind)
+    # looked up per call, so a predicate rebound by name (as perfbench's tracer does) is the one run
+    test = {"iy": is_iy_morphism, "mlog": is_mlog_morphism, "ne-hom": ne_hom_member}[name]
+    ok = test(subject, _load(args.from_obj, obj), _load(args.to_obj, obj))
+    inputs = {"map": formats.map_to_json(subject)} if kind == "map" else formats.cycle_to_json(subject)
+    verdict = "yes" if ok else "no"
+    _emit(args, _report(f"check {name}", inputs, verdict, {}, started),
+          f"{'morphism' if kind == 'map' else 'member'}: {verdict}")
     return 0 if ok else 1
 
 
@@ -315,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = check_sub.add_parser("class")
     p.add_argument("--triple", required=True)
     _add_json(p)
-    for name, kind in (("iy", "map"), ("mlog", "map"), ("ne-hom", "cycle")):
+    for name, (kind, _) in _BRIDGE_CHECKS.items():
         p = check_sub.add_parser(name)
-        p.add_argument("--map" if kind == "map" else "--cycle", required=True)
+        p.add_argument(f"--{kind}", required=True)
         p.add_argument("--from", dest="from_obj", required=True)
         p.add_argument("--to", dest="to_obj", required=True)
         _add_json(p)
@@ -379,9 +364,7 @@ _CHECKS = {
     "admissible": _check_admissible,
     "position": _check_position,
     "class": _check_class,
-    "iy": _check_iy,
-    "mlog": _check_mlog,
-    "ne-hom": _check_ne_hom,
+    **dict.fromkeys(_BRIDGE_CHECKS, _check_bridge),
     "sigma-fin": lambda args, started: _check_flag(args, started, "sigma_fin"),
     "minimal": lambda args, started: _check_flag(args, started, "minimal"),
 }

@@ -1,8 +1,9 @@
 """Closed points, divisors and rational self-maps of the projective line.
 
-Closed points of P^1 over Q are monic irreducible polynomials plus a
-single point at infinity; divisors are finitely supported integer
-combinations of closed points (Weil = Cartier on the smooth curve).
+Closed points of P^1 over Q are irreducible polynomials, stored as
+primitive integer forms, plus a single point at infinity; divisors are
+finitely supported integer combinations of closed points (Weil = Cartier
+on the smooth curve).
 Rational maps are pairs of coprime integer-primitive polynomials, or
 constants at rational points.
 
@@ -27,6 +28,8 @@ from .ratpoly import (
     Poly,
     _factor_fiber,
     _monic_from_ints,
+    _trim,
+    _zadd,
     _zdiv_exact,
     _zgcd,
     _zhomog,
@@ -35,33 +38,32 @@ from .ratpoly import (
     _zresultant,
     _zsub,
     _zyun,
-    factor,
     is_irreducible,
 )
 
 
 class ClosedPoint:
-    """A closed point of P^1_Q: a monic irreducible polynomial, or infinity.
+    """A closed point of P^1_Q: an irreducible polynomial, or infinity.
 
-    The hash and the sort key are computed once, at construction; the
-    integer form ``ints`` of a finite point on first use.
+    A finite point is stored as ``ints``, the primitive integer multiple of
+    its minimal polynomial with a positive leading coefficient (ascending);
+    ``minimal_poly`` is a monic Poly view of it.  The hash and the sort key
+    are those of the monic form, computed once, at construction.
     """
 
-    __slots__ = ("minimal_poly", "_hash", "_key", "_zform")
+    __slots__ = ("ints", "_hash", "_key")
 
-    def __init__(self, minimal_poly: Optional[Poly], _validated: bool = False):
-        if minimal_poly is not None and not _validated:
-            if minimal_poly.is_constant:
-                raise DegenerateInput("a closed point needs a nonconstant polynomial")
-            minimal_poly = minimal_poly.monic()
-            if not is_irreducible(minimal_poly):
-                raise DegenerateInput("point polynomial is reducible")
-        object.__setattr__(self, "minimal_poly", minimal_poly)
-        object.__setattr__(self, "_hash", hash(("pt", minimal_poly)))
-        object.__setattr__(
-            self, "_key", (0,) if minimal_poly is None else (1,) + minimal_poly.sort_key()
-        )
-        object.__setattr__(self, "_zform", None)
+    def __init__(self, ints: Optional[Iterable[int]]):
+        # trusted: an irreducible primitive integer form with a positive leading coefficient
+        monic = None
+        if ints is not None:
+            ints = tuple(ints)
+            lc = ints[-1]
+            monic = ints if lc == 1 else tuple(c // lc if c % lc == 0 else Fraction(c, lc) for c in ints)
+        object.__setattr__(self, "ints", ints)
+        # equal to the hash of ("pt", minimal_poly): an integral Fraction hashes as its int
+        object.__setattr__(self, "_hash", hash(("pt", monic)))
+        object.__setattr__(self, "_key", (0,) if monic is None else (1, len(monic), monic[::-1]))
 
     def __setattr__(self, name, value):
         raise AttributeError("ClosedPoint is immutable")
@@ -72,39 +74,36 @@ class ClosedPoint:
 
     @classmethod
     def finite(cls, poly: Poly) -> "ClosedPoint":
-        return cls(poly)
+        """The point of an irreducible polynomial; DegenerateInput otherwise."""
+        if poly.is_constant:
+            raise DegenerateInput("a closed point needs a nonconstant polynomial")
+        if not is_irreducible(poly):
+            raise DegenerateInput("point polynomial is reducible")
+        return cls(poly.int_primitive()[1])
 
     @classmethod
     def rational(cls, value) -> "ClosedPoint":
         """The degree-1 point x = value."""
-        return cls(Poly((-Fraction(value), 1)), _validated=True)
+        value = Fraction(value)
+        return cls((-value.numerator, value.denominator))
 
-    @classmethod
-    def _raw(cls, monic_irreducible: Poly) -> "ClosedPoint":
-        # fast path for factorization output, skips the irreducibility check
-        return cls(monic_irreducible, _validated=True)
+    @property
+    def minimal_poly(self) -> Optional[Poly]:
+        return None if self.ints is None else _monic_from_ints(self.ints)
 
     @property
     def is_infinity(self) -> bool:
-        return self.minimal_poly is None
+        return self.ints is None
 
     @property
     def degree(self) -> int:
-        return 1 if self.minimal_poly is None else int(self.minimal_poly.degree)
-
-    @property
-    def ints(self) -> tuple[int, ...]:
-        """The primitive integer multiple of a finite point's minimal polynomial
-        with a positive leading coefficient, ascending."""
-        if self._zform is None:
-            object.__setattr__(self, "_zform", tuple(self.minimal_poly.int_primitive()[1]))
-        return self._zform
+        return 1 if self.ints is None else len(self.ints) - 1
 
     def rational_value(self) -> Fraction:
         """The value of a finite degree-1 point."""
         if self.is_infinity or self.degree != 1:
             raise DegenerateInput("point is not a finite rational point")
-        return -self.minimal_poly[0]
+        return Fraction(-self.ints[0], self.ints[1])
 
     def sort_key(self) -> tuple:
         return self._key
@@ -112,11 +111,7 @@ class ClosedPoint:
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return (
-            isinstance(other, ClosedPoint)
-            and self._hash == other._hash
-            and self.minimal_poly == other.minimal_poly
-        )
+        return isinstance(other, ClosedPoint) and self._hash == other._hash and self.ints == other.ints
 
     def __hash__(self) -> int:
         return self._hash
@@ -436,7 +431,7 @@ class RationalMap:
         if self.is_constant or self.degree != 1:
             raise DegenerateInput("only degree-1 maps are invertible")
         (b, a), (d, c) = (self.nz + (0,))[:2], (self.dz + (0,))[:2]
-        return RationalMap.from_fraction(Poly((-b, d)), Poly((a, -c)))
+        return RationalMap._from_ints(Fraction(1), _trim([-b, d]), _trim([a, -c]))
 
 
 def _evaluate(z: tuple[int, ...], c: Fraction) -> Fraction:
@@ -498,13 +493,13 @@ class _Fiber:
     def points(self, f: RationalMap, point: ClosedPoint) -> tuple[tuple[ClosedPoint, int], ...]:
         if self._points is None:
             if f.degree == 1:
-                self._points = ((ClosedPoint._raw(_monic_from_ints(self.ints)), 1),)
+                self._points = ((ClosedPoint(self.ints), 1),)
             else:
                 sqf = self.squarefree()  # Yun, unless the squarefree part is known
                 parts = self._parts or [(1, sqf)]
                 # over infinity or a rational point the fiber form is its own fiber
                 fiber = None if point.degree == 1 else (point.ints, f.nz, f.dz)
-                self._points = tuple((ClosedPoint._raw(q), m) for q, m in _factor_fiber(parts, fiber))
+                self._points = tuple((ClosedPoint(q), m) for q, m in _factor_fiber(parts, fiber))
                 self._parts = None
         return self._points
 
@@ -554,7 +549,7 @@ def point_image(f: RationalMap, point: ClosedPoint) -> ClosedPoint:
 
     For a finite point with minimal polynomial p this is the unique
     irreducible factor of the eliminant Res_t(p(t), y*den(t) - num(t)),
-    computed by evaluation and Lagrange interpolation in y.
+    computed by evaluation and interpolation in y.
     """
     if f.is_constant:
         return f.const
@@ -570,33 +565,25 @@ def point_image(f: RationalMap, point: ClosedPoint) -> ClosedPoint:
         bad = Fraction(0)
     elif len(dz) == len(nz):
         bad = Fraction(nz[-1], dz[-1])
-    samples: list[tuple[Fraction, Fraction]] = []
-    y = 1
-    while len(samples) < point.degree + 1:
-        if y != bad:
-            samples.append((Fraction(y), _zresultant(pz, _zsub([y * v for v in dz], nz))))
-        y += 1
-    eliminant = _interpolate(samples)
-    parts = factor(eliminant).factors
+    ys = [y for y in range(1, point.degree + 3) if y != bad][: point.degree + 1]
+    eliminant = _interpolate(ys, [_zresultant(pz, _zsub([y * v for v in dz], nz)) for y in ys])
+    parts = _factor_fiber(_zyun(_zprimitive(eliminant)))
     if len(parts) != 1:
         raise ArithmeticError("eliminant of an irreducible point split")
-    return ClosedPoint._raw(parts[0][0])
+    return ClosedPoint(parts[0][0])
 
 
-def _interpolate(samples: list[tuple[Fraction, Fraction]]) -> Poly:
-    acc = Poly.zero()
-    for i, (xi, yi) in enumerate(samples):
-        if not yi:
-            continue
-        term = Poly.one()
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(samples):
-            if i == j:
-                continue
-            term = term * Poly((-xj, 1))
-            denom *= xi - xj
-        acc = acc + term.scale(yi / denom)
-    return acc
+def _interpolate(xs: list[int], ys: list[Fraction]) -> list[int]:
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]), from
+    Newton's divided differences; the eliminant's samples give integer coefficients."""
+    coef = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coef[i] = Fraction(coef[i] - coef[i - 1], xs[i] - xs[i - j])
+    acc = [coef[-1]]
+    for i in range(len(xs) - 2, -1, -1):  # Horner on the Newton form
+        acc = _zadd(_zmul(acc, [-xs[i], 1]), [coef[i]])
+    return [c.numerator for c in acc]
 
 
 def pushforward_divisor(f: RationalMap, divisor: Divisor) -> Divisor:
@@ -617,14 +604,10 @@ def principal_divisor(f: RationalMap) -> Divisor:
     """div(f) = zeros minus poles; degree zero."""
     if f.is_constant:
         raise DegenerateInput("constant maps have no principal divisor")
-    acc: list[tuple[ClosedPoint, int]] = []
-    if not f.num.is_constant:
-        for q, m in factor(f.num).factors:
-            acc.append((ClosedPoint._raw(q), m))
-    if not f.den.is_constant:
-        for q, m in factor(f.den).factors:
-            acc.append((ClosedPoint._raw(q), -m))
-    acc.append((INFINITY, int(f.den.degree) - int(f.num.degree)))
+    acc: list[tuple[ClosedPoint, int]] = [(INFINITY, len(f.dz) - len(f.nz))]
+    for z, sign in ((f.nz, 1), (f.dz, -1)):
+        if len(z) > 1:
+            acc.extend((ClosedPoint(q), sign * m) for q, m in _factor_fiber(_zyun(_zprimitive(z))))
     return Divisor(acc)
 
 
@@ -710,15 +693,6 @@ class Locus:
     @property
     def is_empty(self) -> bool:
         return self.kind is LocusKind.FINITE and len(self.poly) == 1 and not self.has_infinity
-
-
-def squarefree_part(p: Poly) -> Poly:
-    if p.is_zero:
-        raise DegenerateInput("zero polynomial")
-    if p.is_constant:
-        return Poly.one()
-    _, f = p.int_primitive()
-    return _monic_from_ints(reduce(_zmul, [part for _, part in _zyun(f)]))
 
 
 # Products and quotients of primitive polynomials with positive leading

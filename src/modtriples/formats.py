@@ -25,6 +25,7 @@ JSON schemas (all rationals travel as strings):
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -179,29 +180,32 @@ def parse_poly(text: str) -> Poly:
     return Poly(coeffs)
 
 
-def _frac_text(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def poly_to_text(p: Poly) -> str:
-    if p.is_zero:
-        return "0"
+def _coeffs_to_text(coeffs, lc: int = 1) -> str:
+    """Canonical text of sum(coeffs[k] / lc * x^k), descending: ints or Fractions
+    over a positive integer lc."""
     parts = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if not c:
             continue
-        mag = abs(c)
+        num, den = abs(c.numerator), c.denominator * lc
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        mag = str(num) if den == 1 else f"{num}/{den}"
         if k == 0:
-            body = _frac_text(mag)
+            body = mag
         else:
             xpow = "x" if k == 1 else f"x^{k}"
-            body = xpow if mag == 1 else f"{_frac_text(mag)}*{xpow}"
+            body = xpow if mag == "1" else f"{mag}*{xpow}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
+
+
+def poly_to_text(p: Poly) -> str:
+    return _coeffs_to_text(p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +230,13 @@ def parse_point(text: str) -> ClosedPoint:
             raise ParseError(f"point polynomial with coefficients above {MAX_HEIGHT_BITS} bits")
     if poly.is_constant:
         return ClosedPoint.rational(poly[0])
-    return ClosedPoint.finite(minimal)
+    return ClosedPoint.finite(poly)
 
 
 def point_to_text(p: ClosedPoint) -> str:
     if p.is_infinity:
         return "P(inf)"
-    return f"P({poly_to_text(p.minimal_poly)})"
+    return f"P({_coeffs_to_text(p.ints, p.ints[-1])})"
 
 
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:
@@ -318,15 +322,15 @@ def map_from_json(data: Any) -> RationalMap:
 def map_to_json(f: RationalMap) -> dict:
     if f.is_constant:
         return {"const": point_to_text(f.value)}
-    return {"num": poly_to_text(f.num), "den": poly_to_text(f.den)}
+    return {"num": _coeffs_to_text(f.nz), "den": _coeffs_to_text(f.dz)}
 
 
 def map_to_text(f: RationalMap) -> str:
     if f.is_constant:
         return f"const {point_to_text(f.value)}"
     if f.dz == (1,):
-        return poly_to_text(f.num)
-    return f"({poly_to_text(f.num)})/({poly_to_text(f.den)})"
+        return _coeffs_to_text(f.nz)
+    return f"({_coeffs_to_text(f.nz)})/({_coeffs_to_text(f.dz)})"
 
 
 # ---------------------------------------------------------------------------

@@ -806,6 +806,16 @@ def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
     return [(mult, _monic_from_ints(part)) for mult, part in _zyun(f)]
 
 
+def squarefree_part(p: Poly) -> Poly:
+    """The monic product of the distinct irreducible factors of a nonzero p."""
+    if p.is_zero:
+        raise DegenerateInput("zero polynomial")
+    if p.is_constant:
+        return Poly.one()
+    _, f = p.int_primitive()
+    return _monic_from_ints(functools.reduce(_zmul, [part for _, part in _zyun(f)]))
+
+
 @dataclass(frozen=True)
 class FactoredPoly:
     """Canonical factorization unit * prod(factor^multiplicity).
@@ -839,20 +849,20 @@ def factor(p: Poly) -> FactoredPoly:
     if p.is_constant:
         return FactoredPoly(unit=unit, factors=())
     _, f = p.int_primitive()
-    collected = _factor_fiber(_zyun(f))
+    collected = [(_monic_from_ints(z), m) for z, m in _factor_fiber(_zyun(f))]
     collected.sort(key=lambda item: item[0].sort_key())
     return FactoredPoly(unit=Fraction(unit), factors=tuple(collected))
 
 
-def _factor_fiber(parts: list[tuple[int, list[int]]], fiber: tuple | None = None) -> list[tuple[Poly, int]]:
-    """(monic irreducible factor, multiplicity) pairs of a nonconstant form given by its
-    ``_zyun`` parts.  An unramified form (one part, multiplicity 1) with a ``fiber``
-    (q, num, den) is certified as ``_factor_squarefree_int`` takes it; anything else is
-    factored one part at a time as trivial fibers."""
+def _factor_fiber(parts: list[tuple[int, list[int]]], fiber: tuple | None = None) -> list[tuple[list[int], int]]:
+    """(irreducible factor, multiplicity) pairs of a nonconstant form given by its ``_zyun``
+    parts; each factor primitive with a positive leading coefficient.  An unramified form
+    (one part, multiplicity 1) with a ``fiber`` (q, num, den) is certified as
+    ``_factor_squarefree_int`` takes it; anything else is factored one part at a time as
+    trivial fibers."""
     if fiber and len(parts) == 1 and parts[0][0] == 1:
-        return [(_monic_from_ints(z), 1) for z in _factor_squarefree_int(parts[0][1], *fiber)]
-    return [(_monic_from_ints(z), m)
-            for m, part in parts for z in _factor_squarefree_int(part, [0, 1], part, [1])]
+        return [(z, 1) for z in _factor_squarefree_int(parts[0][1], *fiber)]
+    return [(z, m) for m, part in parts for z in _factor_squarefree_int(part, [0, 1], part, [1])]
 
 
 def is_irreducible(p: Poly) -> bool:

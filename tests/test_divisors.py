@@ -35,10 +35,9 @@ from modtriples.divisors import (
     locus_union,
     points_locus,
     preimage_locus,
-    squarefree_part,
 )
-from modtriples import ratpoly
-from modtriples.ratpoly import factor, poly_gcd
+from modtriples import divisors, ratpoly
+from modtriples.ratpoly import factor, poly_gcd, squarefree_part
 
 X = Poly.x()
 ONE = Poly.one()
@@ -52,6 +51,17 @@ SQ = RationalMap.polynomial(X**2)
 
 def rmap(num, den=ONE) -> RationalMap:
     return RationalMap.from_fraction(num, den)
+
+
+def random_point_polys(rng: random.Random, count: int, degrees=(1, 4)) -> list[Poly]:
+    """Irreducible integer polynomials with leading coefficients of either sign up to 6."""
+    out = []
+    while len(out) < count:
+        lead = rng.choice([-1, 1]) * rng.randint(1, 6)
+        p = Poly([rng.randint(-9, 9) for _ in range(rng.randint(*degrees))] + [lead])
+        if ratpoly.is_irreducible(p):
+            out.append(p)
+    return out
 
 
 class TestClosedPoint:
@@ -153,6 +163,52 @@ class TestPointImage:
             comp = compose_maps(g, f)
             assert point_image(g, point_image(f, probe)) == point_image(comp, probe)
 
+    @staticmethod
+    def lagrange(xs: list[int], ys: list[Fraction]) -> Poly:
+        """The interpolant through the samples, by Lagrange's formula in Fraction Polys."""
+        acc = Poly.zero()
+        for i, (xi, yi) in enumerate(zip(xs, ys)):
+            term, denom = ONE, Fraction(1)
+            for j, xj in enumerate(xs):
+                if i != j:
+                    term = term * Poly((-xj, 1))
+                    denom *= xi - xj
+            acc = acc + term.scale(yi / denom)
+        return acc
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_image_properties(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        interpolated, interpolate = [], divisors._interpolate
+
+        def recording(xs, ys):
+            out = interpolate(xs, ys)
+            interpolated.append((xs, ys, out))
+            return out
+
+        monkeypatch.setattr(divisors, "_interpolate", recording)
+        points = [ClosedPoint.finite(q) for q in random_point_polys(rng, 12, degrees=(2, 4))]
+        assert any(p.ints[-1] > 1 for p in points)
+        checked = 0
+        while checked < 40:
+            d = rng.randint(1, 4)
+            num = Poly([rng.randint(-6, 6) for _ in range(rng.randint(1, d + 1))])
+            den = Poly([rng.randint(-6, 6) for _ in range(rng.randint(1, d + 1))])
+            if num.is_zero and den.is_zero:
+                continue
+            f = rmap(num, den)
+            if f.is_constant:
+                continue
+            point = rng.choice(points)
+            image = point_image(f, point)
+            assert point.degree % image.degree == 0
+            assert point in pullback_divisor(f, Divisor.of(image)).support()
+            checked += 1
+        assert len(interpolated) >= 30
+        for xs, ys, out in interpolated:
+            assert all(type(v) is int for v in out)
+            assert Poly(out) == self.lagrange(xs, ys)
+
 
 class TestPushforward:
     def test_residue_degree_one(self):
@@ -234,7 +290,10 @@ class TestCachedHashes:
         assert Poly((1, 1)) != Poly((1, 2)) and Poly((1,)) != Poly((1, 1))
 
     def test_point_hash_and_key(self):
-        for p in (SQRT2, P0, ClosedPoint.finite(X.scale(2) - Poly.constant(6))):
+        rng = random.Random(17)
+        made = [ClosedPoint.finite(q) for q in random_point_polys(rng, 150)]
+        assert sum(p.ints[-1] > 1 for p in made) >= 100  # mostly non-monic integer forms
+        for p in [SQRT2, P0, ClosedPoint.finite(X.scale(2) - Poly.constant(6))] + made:
             assert hash(p) == hash(("pt", p.minimal_poly))
             assert p.sort_key() == (1,) + p.minimal_poly.sort_key()
         assert hash(INFINITY) == hash(("pt", None)) and INFINITY.sort_key() == (0,)
@@ -337,10 +396,21 @@ class TestMapRepresentation:
         assert sum(not f.is_constant and f.degree == 1 for f in maps) >= 30
 
     def test_point_integer_form(self):
-        for point in TestIntegerLoci.POOL[1:]:
+        rng = random.Random(19)
+        polys = random_point_polys(rng, 150)
+        for point in TestIntegerLoci.POOL[1:] + [ClosedPoint.finite(q) for q in polys]:
             ints = point.ints
             assert ints == tuple(point.minimal_poly.int_primitive()[1])
-            assert point.ints is ints  # computed once
+            assert point.ints is ints  # stored, not recomputed
+            assert all(type(v) is int for v in ints) and ints[-1] > 0 and math.gcd(*ints) == 1
+            assert ClosedPoint(ints) == point and hash(ClosedPoint(ints)) == hash(point)
+        for q in polys:
+            ints = q.int_primitive()[1]
+            point = ClosedPoint.finite(q)
+            assert point == ClosedPoint(ints) == ClosedPoint.finite(q.scale(Fraction(-2, 3)))
+            assert point.minimal_poly == q.monic() and point.degree == len(ints) - 1
+            if point.degree == 1:
+                assert point == ClosedPoint.rational(point.rational_value())
 
 
 class TestIntegerLoci:

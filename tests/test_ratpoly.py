@@ -20,10 +20,9 @@ from modtriples import (
     resultant,
     squarefree_decomposition,
 )
-from modtriples.divisors import squarefree_part
 from modtriples import oracles
 from modtriples.oracles import OracleBudgetExceeded, verify_irreducible
-from modtriples.ratpoly import _pddf, _pdivmod, _pgcd, _pmonic, _ppowmod, _zderiv, _zhomog, _zsub
+from modtriples.ratpoly import _pddf, _pdivmod, _pgcd, _pmonic, _ppowmod, _zderiv, _zhomog, _zsub, squarefree_part
 
 X = Poly.x()
 ONE = Poly.one()
@@ -451,7 +450,9 @@ class TestIntegerForm:
                 Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(degree)
             ] + [Fraction(1)]
             polys.append(Poly(coeffs))
-        points = [ClosedPoint._raw(p) for p in polys]
+        # the trusted constructor takes the integer form, reducible or not
+        points = [ClosedPoint(p.int_primitive()[1]) for p in polys]
+        assert [q.minimal_poly for q in points] == polys
 
         def fraction_key(p: Poly) -> tuple:
             return (len(p.coeffs), tuple(reversed(p.coeffs)))

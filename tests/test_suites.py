@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from modtriples import ParseError
-from modtriples.suites import SUITES, SuiteConfig, run_suite
+from modtriples import Divisor, ParseError, Poly, principal_divisor, pushforward_divisor
+from modtriples.divisors import _fiber_cached
+from modtriples.suites import SUITES, SuiteConfig, point_pool, random_map, run_suite
 
 
 class TestConfig:
@@ -61,3 +63,36 @@ class TestReport:
         ).records
         tail = [r for r in paired if r["id"].startswith("key-lem")]
         assert solo == tail
+
+
+class TestNoPolyArithmetic:
+    """The engine runs on integer forms: with Poly arithmetic disabled, every suite
+    but ``kernel`` and ``roundtrip`` (which factor or parse Polys by design) records
+    the same report, and pushforwards and principal divisors over the point pool
+    still come out."""
+
+    ARITHMETIC = ("__add__", "__sub__", "__mul__", "__neg__", "scale", "__pow__", "__call__",
+                  "divmod", "monic")
+
+    def test_engine_without_poly_arithmetic(self, monkeypatch):
+        names = tuple(name for name in SUITES if name not in ("kernel", "roundtrip"))
+        config = SuiteConfig(seed=4, samples=5, suites=names)
+        expected = run_suite(config).records
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Poly arithmetic in the engine")
+
+        _fiber_cached.cache_clear()  # no fiber record survives from the run above
+        for name in self.ARITHMETIC:
+            monkeypatch.setattr(Poly, name, forbidden)
+        with pytest.raises(AssertionError):
+            Poly((1, 1)) * Poly((1, 1))
+        assert run_suite(config).records == expected
+        rng = random.Random(4)
+        pool = point_pool()
+        assert any(p.degree > 1 for p in pool)
+        for _ in range(40):
+            f = random_map(rng, 4, 10)
+            assert principal_divisor(f).degree == 0
+            d = Divisor((p, rng.randint(1, 3)) for p in pool)
+            assert pushforward_divisor(f, d).degree == d.degree
