@@ -350,7 +350,7 @@ class RationalMap:
 
     @classmethod
     def polynomial(cls, p: Poly) -> "RationalMap":
-        return cls.from_fraction(p, Poly.one())
+        return cls.from_fraction(p, Poly((1,)))
 
     # -- queries ---------------------------------------------------------
 

@@ -222,10 +222,11 @@ def parse_point(text: str) -> ClosedPoint:
         return INFINITY
     poly = parse_poly(inner)
     # shorthand: P(c) is the rational point x = c
-    minimal = Poly((-poly[0], 1)) if poly.is_constant else poly.monic()
-    # checked before the irreducibility test; the cap also keeps every
-    # accepted point printable under the interpreter's int-to-str limit
-    for c in minimal.coeffs:
+    cs = (-poly[0], 1) if poly.is_constant else poly.coeffs
+    lc = cs[-1]
+    # the monic form's height, checked before the irreducibility test; the cap
+    # also keeps every accepted point printable under the int-to-str limit
+    for c in cs if lc == 1 else [c / lc for c in cs]:
         if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_HEIGHT_BITS:
             raise ParseError(f"point polynomial with coefficients above {MAX_HEIGHT_BITS} bits")
     if poly.is_constant:

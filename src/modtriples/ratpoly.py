@@ -3,7 +3,7 @@
 This is the computational substrate for every divisor operation: gcd,
 squarefree decomposition, irreducible factorization and resultants, all
 exact.  Rational numbers are ``fractions.Fraction`` (always in lowest
-terms, positive denominator), aliased as ``Rat``.
+terms, positive denominator).
 
 Factorization follows the classic route: squarefree decomposition
 (Yun, run over Z[x] on primitive integer coefficient lists, since it
@@ -36,8 +36,6 @@ from typing import Iterable, Iterator
 
 from .errors import DegenerateInput
 
-Rat = Fraction
-
 NEG_INFINITY = float("-inf")  # degree of the zero polynomial
 
 
@@ -48,12 +46,14 @@ def _trim(coeffs: list) -> list:
 
 
 class Poly:
-    """A dense univariate polynomial with Fraction coefficients.
+    """A dense univariate polynomial with Fraction coefficients, read-only.
 
-    Coefficients are stored ascending; the highest stored index is
-    nonzero unless the polynomial is zero (empty tuple).  Instances are
-    immutable and hashable, so they can live in divisor supports; the
-    hash, ``hash(coeffs)``, is computed on first use and kept.
+    Poly is a view for inputs and results; arithmetic runs on integer
+    coefficient lists (the ``_z*`` helpers below).  Coefficients are
+    stored ascending; the highest stored index is nonzero unless the
+    polynomial is zero (empty tuple).  Instances are immutable and
+    hashable, so they can live in divisor supports; the hash,
+    ``hash(coeffs)``, is computed on first use and kept.
     """
 
     __slots__ = ("coeffs", "_hash")
@@ -74,22 +74,6 @@ class Poly:
         self = object.__new__(cls)
         object.__setattr__(self, "coeffs", coeffs)
         return self
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
 
     # -- basic queries -------------------------------------------------
 
@@ -119,87 +103,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly._raw(tuple(_trim(out)))
-
-    def __neg__(self) -> "Poly":
-        return Poly._raw(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly._raw(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly._raw(tuple(_trim(out)))
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if not c:
-            return Poly._raw(())
-        return Poly._raw(tuple(cc * c for cc in self.coeffs))
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        return Poly(_zpow(list(self.coeffs), n))
-
-    def __call__(self, value: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            raise DegenerateInput("zero polynomial has no monic form")
-        lc = self.coeffs[-1]
-        if lc == 1:
-            return self
-        return self.scale(1 / lc)
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact euclidean division over Q."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero or len(self.coeffs) < len(other.coeffs):
-            return Poly(()), self
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dlen = len(div)
-        inv_lc = 1 / div[-1]
-        quo = [Fraction(0)] * (len(rem) - dlen + 1)
-        for i in range(len(quo) - 1, -1, -1):
-            c = rem[i + dlen - 1] * inv_lc
-            if c:
-                quo[i] = c
-                for j in range(dlen):
-                    rem[i + j] -= c * div[j]
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
-    def divides(self, other: "Poly") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return other.divmod(self)[1].is_zero
 
     # -- integer form --------------------------------------------------
 
@@ -783,13 +686,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor over Q."""
     if a.is_zero and b.is_zero:
         raise DegenerateInput("gcd of two zero polynomials")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    _, za = a.int_primitive()
-    _, zb = b.int_primitive()
-    return _monic_from_ints(_zgcd(za, zb))
+    return _monic_from_ints(_zgcd(a.int_primitive()[1], b.int_primitive()[1]))
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
@@ -806,16 +703,6 @@ def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
     return [(mult, _monic_from_ints(part)) for mult, part in _zyun(f)]
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """The monic product of the distinct irreducible factors of a nonzero p."""
-    if p.is_zero:
-        raise DegenerateInput("zero polynomial")
-    if p.is_constant:
-        return Poly.one()
-    _, f = p.int_primitive()
-    return _monic_from_ints(functools.reduce(_zmul, [part for _, part in _zyun(f)]))
-
-
 @dataclass(frozen=True)
 class FactoredPoly:
     """Canonical factorization unit * prod(factor^multiplicity).
@@ -828,10 +715,10 @@ class FactoredPoly:
     factors: tuple[tuple[Poly, int], ...]
 
     def expand(self) -> Poly:
-        acc = Poly.constant(self.unit)
+        acc = [self.unit]
         for q, m in self.factors:
-            acc = acc * q**m
-        return acc
+            acc = _zmul(acc, _zpow(q.coeffs, m))
+        return Poly(acc)
 
     def __iter__(self):
         return iter(self.factors)

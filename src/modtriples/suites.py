@@ -93,7 +93,7 @@ from .functors import (
     triple_to_mlog,
     tsm_member,
 )
-from .ratpoly import Poly, factor
+from .ratpoly import Poly, _zmul, factor
 from .triples import (
     ModulusPair,
     ModulusTriple,
@@ -422,15 +422,15 @@ def suite_kernel(rng: random.Random, cfg: SuiteConfig, rec: Recorder) -> None:
             continue
         try:
             if oracles.verify_irreducible(p):
-                irreducibles.append(p.monic())
+                irreducibles.append(Poly([c / p.leading for c in p.coeffs]))
         except oracles.OracleBudgetExceeded:
             continue
     for _ in range(cfg.samples):
         parts = [rng.choice(irreducibles) for _ in range(rng.randint(2, 3))]
-        unit = Poly.constant(rng.choice([1, -1]) * rng.randint(1, height))
-        prod = unit
+        coeffs = [rng.choice([1, -1]) * rng.randint(1, height)]
         for q in parts:
-            prod = prod * q
+            coeffs = _zmul(coeffs, q.coeffs)
+        prod = Poly(coeffs)
         factored = factor(prod)
         expected: dict[Poly, int] = {}
         for q in parts:

@@ -25,7 +25,6 @@ from .divisors import (
     PullbackComparison,
     RationalMap,
     min_divisor,
-    point_image,
     pullback_divisor,
 )
 from .errors import DegenerateInput, NotEffective, NotFiniteOverSource
@@ -124,19 +123,13 @@ class ProductData:
 
 @dataclass(frozen=True)
 class CheckedMap:
-    """A map into a product of totals: a line (or a single point) with two legs.
+    """A map from the line into a product of totals, given by two legs.
 
-    ``domain`` is None for the proper line, or a closed point.  ``a``
-    lands in the source total and ``b`` in the target total.
+    ``a`` lands in the source total and ``b`` in the target total.
     """
 
     a: RationalMap
     b: RationalMap
-    domain: Optional[ClosedPoint] = None
-
-    @property
-    def is_point(self) -> bool:
-        return self.domain is not None
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +222,7 @@ def pullback_triple(f: RationalMap, t: ModulusTriple) -> ModulusTriple:
 def modulus_condition(m: CheckedMap, data: ProductData) -> bool:
     """Decide the modulus condition of a component against source x target.
 
-    For a line domain with legs (a, b) the condition is the divisor
+    For a component with legs (a, b) the condition is the divisor
     inequality a*S+ + b*T- >= a*S- + b*T+ on the domain line, checked
     away from the points that leave the open models.  A leg that
     collapses to a point contributes by membership: a value inside the
@@ -238,12 +231,6 @@ def modulus_condition(m: CheckedMap, data: ProductData) -> bool:
     constant b inside |T+| but not |T-| always fails.
     """
     s, t = data.source, data.target
-    if m.is_point:
-        aw = point_image(m.a, m.domain)
-        bw = point_image(m.b, m.domain)
-        lhs_infinite = aw in s.plus.support() or bw in t.minus.support()
-        rhs_infinite = aw in s.minus.support() or bw in t.plus.support()
-        return lhs_infinite or not rhs_infinite
     if m.a.is_constant:
         raise NotFiniteOverSource("the source leg of a line component must be nonconstant")
     cmp = PullbackComparison()

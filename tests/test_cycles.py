@@ -13,7 +13,6 @@ from modtriples import (
     ModulusTriple,
     NotFiniteOverSource,
     NotInteriorPreserving,
-    Poly,
     RationalMap,
     TypeMismatch,
     UnsupportedComposition,
@@ -27,6 +26,7 @@ from modtriples import (
     shift_morphism,
     transpose_cycle,
 )
+from polyref import Poly
 
 X = Poly.x()
 P0 = ClosedPoint.rational(0)

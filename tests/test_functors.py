@@ -26,7 +26,6 @@ from modtriples import (
     NotExcellent,
     NotMinClass,
     NotManClass,
-    Poly,
     RationalMap,
     classify,
     compactification_stage,
@@ -60,6 +59,7 @@ from modtriples import (
 )
 from modtriples.suites import point_pool, random_map, random_triple
 from modtriples.triples import TripleSum
+from polyref import Poly
 
 X = Poly.x()
 ONE = Poly.one()

@@ -13,7 +13,6 @@ from modtriples import (
     ModulusTriple,
     NotEffective,
     NotFiniteOverSource,
-    Poly,
     ProductData,
     RationalMap,
     classify,
@@ -27,6 +26,7 @@ from modtriples import (
     shift_morphism,
 )
 from modtriples.cycles import is_admissible
+from polyref import Poly
 
 X = Poly.x()
 P0 = ClosedPoint.rational(0)
@@ -136,11 +136,6 @@ class TestModulusCondition:
         blocked = ModulusTriple.proper(D0, ZERO)
         m2 = CheckedMap(a=ID, b=RationalMap.constant(P0))
         assert modulus_condition(m2, ProductData(BOX, blocked)) is False
-
-    def test_point_domain(self):
-        m = CheckedMap(a=ID, b=ID, domain=P0)
-        assert modulus_condition(m, ProductData(ModulusTriple.proper(D0, ZERO), BOX)) is True
-        assert modulus_condition(m, ProductData(ModulusTriple.proper(ZERO, D0), BOX)) is False
 
     def test_invariant_under_reparametrization(self):
         # precomposition with any nonconstant self-map preserves the verdict
