@@ -780,7 +780,7 @@ def locus_subset(a: Locus, b: Locus) -> bool:
 
 @dataclass(frozen=True)
 class FiberTerm:
-    """A summand c * div0(g) coming from pulling a point back along a map.
+    """A summand (coeff + n * slope) * div0(g) from pulling a point back along a map.
 
     Provenance (map, point) is kept because fibers of distinct points
     under the same map are coprime for free; fibers under the identity
@@ -793,6 +793,7 @@ class FiberTerm:
     map: RationalMap
     point: ClosedPoint
     irreducible: bool = False
+    slope: int = 0  # the multiple of the unknown level n
 
 
 def _coprime_by_provenance(a: FiberTerm, b: FiberTerm) -> bool:
@@ -805,22 +806,33 @@ class PullbackComparison:
     Positive verdict means: the accumulated divisor is effective away
     from the escape locus (domain points marked as removed from the
     open model).  Exact, and never factors anything: it refines the
-    fiber forms into a gcd-free basis instead.
+    fiber forms into a gcd-free basis instead.  Terms added by
+    ``add_growth`` are scaled by an unknown level n >= 0, and
+    ``least_level`` solves for the least n that is effective.
     """
 
     def __init__(self):
         self._terms: list[FiberTerm] = []
         self._escapes: list[FiberTerm] = []
         self._inf_coeff = 0
+        self._inf_slope = 0
         self._inf_escaped = False
 
     def add_pullback(self, f: RationalMap, divisor: Divisor, sign: int) -> None:
+        self._add(f, divisor, sign, 0)
+
+    def add_growth(self, f: RationalMap, divisor: Divisor) -> None:
+        """Add n * f*(divisor) for the level n that ``least_level`` solves for."""
+        self._add(f, divisor, 0, 1)
+
+    def _add(self, f: RationalMap, divisor: Divisor, sign: int, slope: int) -> None:
         irr = f.is_identity
         for point, mult in divisor:
             fiber = _fiber_cached(f, point)
             self._inf_coeff += sign * mult * fiber.k
+            self._inf_slope += slope * mult * fiber.k
             if len(fiber.ints) > 1:
-                self._terms.append(FiberTerm(fiber.ints, sign * mult, f, point, irr))
+                self._terms.append(FiberTerm(fiber.ints, sign * mult, f, point, irr, slope * mult))
 
     def add_escape_map(self, f: RationalMap, points: Iterable[ClosedPoint]) -> None:
         irr = f.is_identity
@@ -832,30 +844,42 @@ class PullbackComparison:
                 self._escapes.append(FiberTerm(fiber.ints, 0, f, point, irr))
 
     def effective(self) -> bool:
+        return self.least_level() == 0
+
+    def least_level(self) -> Optional[int]:
+        """Least n >= 0 making the accumulated divisor effective, or None.
+
+        Each gcd-free basis piece, and infinity, carries c + n * e with
+        e >= 0 (growth terms are effective), so n must reach ceil(-c/e)
+        wherever c < 0, and no n exists where c < 0 and e = 0.
+        """
         merged: dict[tuple[RationalMap, ClosedPoint], FiberTerm] = {}
         for t in self._terms:
-            k = (t.map, t.point)
-            if k in merged:
-                prev = merged[k]
-                merged[k] = FiberTerm(
-                    prev.poly, prev.coeff + t.coeff, t.map, t.point, prev.irreducible
-                )
-            else:
-                merged[k] = t
-        terms = [t for t in merged.values() if t.coeff]
+            prev = merged.get((t.map, t.point))
+            merged[t.map, t.point] = t if prev is None else FiberTerm(
+                prev.poly, prev.coeff + t.coeff, t.map, t.point, prev.irreducible, prev.slope + t.slope
+            )
+        terms = [t for t in merged.values() if t.coeff or t.slope]
+        level = 0
         if terms:
-            basis = _gcd_free_basis(terms + self._escapes)
-            for beta, carriers in basis:
-                if any(t.coeff == 0 and _exponent_of(beta, t.poly) for t in carriers):
-                    continue  # this piece of the line was removed from the model
-                total = sum(
-                    t.coeff * _exponent_of(beta, t.poly) for t in carriers if t.coeff
-                )
-                if total < 0:
-                    return False
+            for beta, carriers in _gcd_free_basis(terms + self._escapes):
+                c = e = 0
+                for t in carriers:
+                    x = _exponent_of(beta, t.poly)
+                    if x and not (t.coeff or t.slope):
+                        break  # this piece of the line was removed from the model
+                    c += t.coeff * x
+                    e += t.slope * x
+                else:
+                    if c < 0:
+                        if not e:
+                            return None
+                        level = max(level, -(c // e))
         if not self._inf_escaped and self._inf_coeff < 0:
-            return False
-        return True
+            if not self._inf_slope:
+                return None
+            level = max(level, -(self._inf_coeff // self._inf_slope))
+        return level
 
 
 def _gcd_free_basis(items: list[FiberTerm]) -> list[tuple[list[int], list[FiberTerm]]]:

@@ -3,19 +3,21 @@
 Adjunction claims are certified extensionally: for a given candidate
 correspondence both hom memberships are evaluated and returned side by
 side, and the property suites assert they agree.  Pro-adjoints are
-realized as per-instance searches that return the stage witnessing the
-colimit formula (on curves the compactification chain is a single
-parameter, the multiple of the reduced boundary).
+realized per instance by the stage witnessing the colimit formula (on
+curves the compactification chain is a single parameter, the multiple
+of the reduced boundary).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .cycles import Cycle, all_excellent, graph_cycle, is_admissible
+from .cycles import Component, Cycle, all_excellent, graph_cycle, is_admissible
 from .divisors import (
     CurveSpace,
     Divisor,
+    PullbackComparison,
     RationalMap,
     canonical_split,
     pullback_divisor,
@@ -356,7 +358,7 @@ def ne_hom_member(candidate: Cycle, x: NePair, y: NePair) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# compactification stages and the minimal-level search
+# compactification stages and the minimal level
 # ---------------------------------------------------------------------------
 
 
@@ -401,17 +403,16 @@ def minimal_compactification_level(
 ) -> int:
     """Least n >= 1 with alpha admissible from the n-th stage of t.
 
-    The candidate stages add n times the reduced boundary to the plus
+    The stages add n times the reduced boundary B_red to the plus
     divisor; the chain is cofinal among compactifications on the curve.
-    Admissibility is monotone in n: stage n checks
-    a*S+ + b*T- >= a*S- + b*T+ per component with S+ = plus + n*B_red,
-    and a*(B_red) is effective, so raising n only grows the left side.
-    Once a stage passes, every later one does.  The search therefore
-    gallops over stages 1, 2, 4, ... (the last probe clamped to
-    max_level) and bisects between the last failing and the first
-    passing probe: at most 2*ceil(log2 n) + 1 admissibility checks for
-    level n, instead of n.  CertificationError means stage max_level
-    (hence every stage up to it) is not admissible.
+    Stages and target are proper, so left properness holds, nothing
+    escapes, and stage n admits a component (a, b) exactly when
+    D0 + n*a*(B_red) >= 0 with D0 = a*S+ - a*S- + b*T- - b*T+.  Each
+    gcd-free basis piece of the fiber forms, and infinity, carries
+    c + n*e with e >= 0, so the level is max(1, ceil(-c/e)) over every
+    component and every piece with c < 0: a closed form, no stage is
+    probed.  A constant b keeps its membership shortcut, independent of
+    n.  CertificationError means no stage up to max_level is admissible.
     """
     if t.total.is_proper:
         raise DegenerateInput("the source must have an open total space")
@@ -419,22 +420,25 @@ def minimal_compactification_level(
         raise DegenerateInput("the target must be proper")
     if not is_admissible(alpha.with_ends(t, s)):
         raise NotAdmissible("candidate is not admissible from the open triple")
-    capped = CertificationError("no stage admitted the correspondence below the search cap")
-    if max_level < 1:
-        raise capped
+    b_red = Divisor((p, 1) for p in t.total.boundary)
+    levels = [1, *(_stage_level(comp, t, s, b_red) for comp in alpha.components)]
+    if None in levels or max(levels) > max_level:
+        raise CertificationError("no stage admitted the correspondence below the search cap")
+    return max(levels)
 
-    def admits(n: int) -> bool:
-        return bool(is_admissible(alpha.with_ends(compactification_stage(t, n), s)))
 
-    failing, passing = 0, 1
-    while not admits(passing):
-        if passing == max_level:
-            raise capped
-        failing, passing = passing, min(2 * passing, max_level)
-    while passing - failing > 1:
-        mid = (failing + passing) // 2
-        if admits(mid):
-            passing = mid
-        else:
-            failing = mid
-    return passing
+def _stage_level(comp: Component, t: ModulusTriple, s: ModulusTriple, b_red: Divisor) -> Optional[int]:
+    """Least n >= 0 with comp admissible from plus + n*B_red, or None."""
+    if comp.b.is_constant:
+        if comp.b.value in s.minus.support():
+            return 0
+        if comp.b.value in s.plus.support():
+            return None
+    cmp = PullbackComparison()
+    cmp.add_pullback(comp.a, t.plus, +1)
+    cmp.add_pullback(comp.a, t.minus, -1)
+    cmp.add_growth(comp.a, b_red)
+    if not comp.b.is_constant:
+        cmp.add_pullback(comp.b, s.minus, +1)
+        cmp.add_pullback(comp.b, s.plus, -1)
+    return cmp.least_level()

@@ -13,7 +13,8 @@ often prove irreducibility outright (Musser); Cantor-Zassenhaus
 equal-degree splitting at the prime with the fewest factors; quadratic
 Hensel lifting; and factor recombination, exponential in the worst
 case, which is fine at desk scale (degrees stay small and inputs are
-not adversarial).
+not adversarial).  Irreducibility alone is first tried by Eisenstein's
+criterion at the primes below 100, which needs no factoring at all.
 
 A pullback fiber f = den^e * q(num/den) over a point q of degree e is,
 up to a constant, the norm from K = Q(θ), q(θ) = 0, of num - θ*den, so
@@ -752,13 +753,18 @@ def _factor_fiber(parts: list[tuple[int, list[int]]], fiber: tuple | None = None
     return [(z, m) for m, part in parts for z in _factor_squarefree_int(part, [0, 1], part, [1])]
 
 
+_EISENSTEIN_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
+
+
 def is_irreducible(p: Poly) -> bool:
     """True if p is irreducible over Q (degree >= 1).
 
     Decided on the primitive integer form without a full factorization:
     a quadratic c + b*x + a*x^2 is irreducible exactly when b^2 - 4ac is
-    not a square, and from degree 3 a squarefree f goes straight to the
-    factoring kernel, whose degree patterns usually certify it unlifted.
+    not a square.  From degree 3, Eisenstein's criterion at a prime below
+    100 certifies f from one content gcd; when it fails, a squarefree f
+    goes to the factoring kernel, whose degree patterns usually certify
+    it unlifted.
     """
     n = len(p.coeffs) - 1
     if n < 1:
@@ -768,6 +774,9 @@ def is_irreducible(p: Poly) -> bool:
     _, f = p.int_primitive()
     if n == 2:
         return len(_split_quadratic(f)) == 1
+    g = math.gcd(*f[:-1])  # f is primitive, so no prime dividing g divides lc(f)
+    if g != 1 and any(g % q == 0 and f[0] % (q * q) for q in _EISENSTEIN_PRIMES):
+        return True
     if _zgcd(f, _zderiv(f)) != [1]:
         return False
     return len(_factor_squarefree_int(f, [0, 1], f, [1])) == 1

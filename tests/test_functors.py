@@ -1,6 +1,5 @@
 """Functors, bridges and adjunction transports."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -57,7 +56,8 @@ from modtriples import (
     triple_to_mlog,
     tsm_member,
 )
-from modtriples.suites import point_pool, random_map, random_triple
+from modtriples.divisors import PullbackComparison, compose_maps
+from modtriples.suites import point_pool, random_effective, random_map, random_triple
 from modtriples.triples import TripleSum
 from polyref import Poly
 
@@ -298,12 +298,12 @@ class TestCompactification:
 
 
 # ---------------------------------------------------------------------------
-# the gallop-and-bisect level search against a plain linear scan
+# the closed-form level against a plain linear scan
 # ---------------------------------------------------------------------------
 
 
 def linear_level(t, s, alpha, cap):
-    """The stage-by-stage scan the search must agree with."""
+    """The stage-by-stage scan the closed-form level must agree with."""
     for n in range(1, cap + 1):
         if is_admissible(alpha.with_ends(compactification_stage(t, n), s)):
             return n
@@ -351,6 +351,42 @@ def pullback_case(rng):
     return base, target, Cycle(base, target, [Component(ID, f, 1)])
 
 
+def multi_component_case(rng):
+    """One to three components over one open base, each with an a leg of
+    degree 2 or 3.  A nonconstant b leg is f∘a, so b*T = a*(f*T); the base
+    carries every f*T+ off a boundary drawn from their support.  A constant
+    b leg lands inside T-, inside T+ only, or in neither.  A random base
+    minus divisor sometimes breaks the open-triple precheck."""
+    pool = point_pool()
+    target = random_triple(rng, pool)
+    target = ModulusTriple.proper(rng.randint(1, 6) * target.plus, target.minus)
+    legs, kinds, pulled = [], set(), []
+    for _ in range(rng.randint(1, 3)):
+        a = next(m for m in iter(lambda: random_map(rng, 3, 4), None) if m.degree >= 2)
+        if rng.random() < 0.3:
+            rational = [p for p in pool if p.is_infinity or p.degree == 1]
+            kind, value = rng.choice([
+                ("minus", [p for p in rational if p in target.minus.support()]),
+                ("plus only", [p for p in rational if p in target.plus.support() - target.minus.support()]),
+                ("neither", [p for p in rational if p not in target.bad_set() | target.minus.support()]),
+            ])
+            if value:
+                kinds.add(kind)
+                legs.append(Component(a, RationalMap.constant(rng.choice(value)), rng.randint(1, 2)))
+                continue
+        f = random_map(rng, 2, 4)
+        pulled.append(pullback_divisor(f, target.plus))
+        legs.append(Component(a, compose_maps(f, a), rng.randint(1, 2)))
+    support = sorted(set().union(*(d.support() for d in pulled)), key=lambda p: p.sort_key()) or pool
+    bset = frozenset(rng.sample(support, min(len(support), rng.randint(1, 2))))
+    plus = sum((d.drop(bset) for d in pulled), ZERO)
+    minus = ZERO
+    if rng.random() < 0.2:
+        minus = random_effective(rng, [p for p in pool if p not in bset], max_points=1)
+    base = ModulusTriple(CurveSpace.open(sorted(bset, key=lambda p: p.sort_key())), plus, minus)
+    return base, target, Cycle(base, target, legs), kinds
+
+
 class TestLevelSearch:
     POWERS = [v for j in range(1, 12) for v in (2**j - 1, 2**j, 2**j + 1)]
 
@@ -362,35 +398,61 @@ class TestLevelSearch:
 
     @pytest.mark.parametrize("level", [1, 2, 3, 64, 65, 1000, 2047, 2048, 2049])
     def test_probe_count_is_logarithmic(self, level, monkeypatch):
+        # no stage is probed: the open-triple precheck is the only admissibility check
         base, target, alpha = known_level_case(random.Random(level), 1, level)
         calls = []
         real = functors.is_admissible
-        monkeypatch.setattr(functors, "is_admissible", lambda c: calls.append(1) or real(c))
+        monkeypatch.setattr(functors, "is_admissible", lambda c: calls.append(c) or real(c))
         assert minimal_compactification_level(base, target, alpha) == level
-        # one precheck from the open triple, then the stage probes
-        assert len(calls) - 1 <= 2 * math.ceil(math.log2(level)) + 1
+        assert calls == [alpha.with_ends(base, target)]
 
     def test_agrees_with_linear_scan(self):
-        cases = 0
-        for seed in range(60):
+        cases = multi = non_identity = 0
+        constants = set()
+        for seed in range(90):
             rng = random.Random(seed)
-            if seed % 2:
+            if seed % 3 == 1:
                 k = rng.randint(1, 4)
                 base, target, alpha = known_level_case(rng, k, rng.randint(1, 64 // k))
-            else:
+            elif seed % 3 == 2:
                 base, target, alpha = pullback_case(rng)
-                if not is_admissible(alpha):
-                    continue
-            cap = 64 if seed % 3 else rng.randint(1, 64)
+            else:
+                base, target, alpha, kinds = multi_component_case(rng)
+                constants |= kinds
+            if not is_admissible(alpha):
+                with pytest.raises(NotAdmissible):
+                    minimal_compactification_level(base, target, alpha)
+                continue
+            cap = 64 if seed % 4 else rng.randint(1, 64)
             try:
                 expected = linear_level(base, target, alpha, cap)
             except CertificationError:
                 with pytest.raises(CertificationError):
                     minimal_compactification_level(base, target, alpha, max_level=cap)
-            else:
-                assert minimal_compactification_level(base, target, alpha, max_level=cap) == expected
+                continue
+            for low in {1, expected - 1} - {0, expected}:  # caps of 1 and level - 1
+                with pytest.raises(CertificationError):
+                    minimal_compactification_level(base, target, alpha, max_level=low)
+            assert minimal_compactification_level(base, target, alpha, max_level=expected) == expected
+            assert minimal_compactification_level(base, target, alpha, max_level=cap) == expected
             cases += 1
-        assert cases >= 50
+            multi += len(alpha.components) > 1
+            non_identity += any(not comp.a.is_identity for comp in alpha.components)
+        assert cases >= 50 and multi >= 5 and non_identity >= 10
+        assert constants == {"minus", "plus only", "neither"}
+
+    def test_piece_that_no_level_covers(self):
+        # a negative piece away from the growth divisor has e = 0: no level exists
+        for negative in (D1, DINF):
+            cmp = PullbackComparison()
+            cmp.add_pullback(SQ, negative, -1)
+            cmp.add_growth(SQ, D0)
+            assert cmp.least_level() is None and not cmp.effective()
+        cmp = PullbackComparison()
+        cmp.add_pullback(SQ, 3 * D1 + DINF, -1)
+        cmp.add_growth(SQ, 2 * D1)
+        cmp.add_growth(ID, 2 * DINF)
+        assert cmp.least_level() == 2  # x^2 - 1 carries -3 + 2n, infinity -2 + 2n
 
     @pytest.mark.parametrize("level", [1, 2, 7, 64, 65])
     def test_cap_edges(self, level):

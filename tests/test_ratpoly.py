@@ -19,7 +19,7 @@ from modtriples import (
     resultant,
     squarefree_decomposition,
 )
-from modtriples import oracles
+from modtriples import oracles, ratpoly
 from modtriples.oracles import OracleBudgetExceeded, verify_irreducible
 from modtriples.ratpoly import _pddf, _pdivmod, _pgcd, _pmonic, _ppowmod, _zderiv, _zhomog, _zsub
 from polyref import Poly, ref, squarefree_part
@@ -437,6 +437,60 @@ class TestIsIrreducible:
             elif isinstance(node, ast.ImportFrom) and "ratpoly" in (node.module or ""):
                 imported |= {alias.name for alias in node.names}
         assert imported == {"Poly"}
+
+
+class TestEisensteinCertificate:
+    """Eisenstein forms are certified before the factoring kernel; near
+    misses fall through to it and get its answer."""
+
+    @staticmethod
+    def form(q: int, d: int, rng: random.Random) -> Poly:
+        """A non-monic degree-d form, Eisenstein at q, scaled by a rational."""
+        units = [u for u in range(-9, 10) if u % q]
+        low = [q * rng.randint(-5, 5) for _ in range(d)]
+        low[0] = q * rng.choice(units)
+        return Poly(low + [rng.choice(units)]).scale(Fraction(rng.choice([-3, -1, 2]), rng.choice([1, 5])))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_forms_skip_the_kernel(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        primes = [q for q in range(2, 100) if all(q % d for d in range(2, q))]
+        forms = [self.form(rng.choice(primes), d, rng) for d in range(3, 17)]
+        ints = [p.int_primitive()[1] for p in forms]
+        assert any(f[-1] != 1 for f in ints) and any(min(f) < 0 for f in ints)
+        with monkeypatch.context() as m:
+            m.setattr(ratpoly, "_factor_squarefree_int", self.no_kernel)
+            assert all(is_irreducible(p) for p in forms)
+        for p in forms:
+            if p.degree <= 6:
+                assert verify_irreducible(p)
+            else:
+                assert len(factor(p).factors) == 1, p
+
+    @staticmethod
+    def no_kernel(*args):
+        raise AssertionError("an Eisenstein form reached the factoring kernel")
+
+    @pytest.mark.parametrize(
+        "coeffs,expected",
+        [
+            ((1, 2, 2, 2), True),  # 2 divides the leading coefficient, not a0: reversed Eisenstein
+            ((1, 4, 6, 4), False),  # (2x + 1)(2x^2 + 2x + 1): 2 divides the leading coefficient
+            ((4, 2, 0, 1), True),  # 2^2 divides a0
+            ((8, 4, 2, 1), False),  # (x + 2)(x^2 + 4): 2^2 divides a0
+            ((0, 2, 2, 1), False),  # a0 = 0
+            ((0, 3, 0, 0, 1), False),  # a0 = 0 once more
+            ((101, 101, 0, 1), True),  # only 101 divides the lower coefficients
+            ((-103, 0, 0, 206, 0, 5), True),  # only 103 does
+        ],
+    )
+    def test_near_misses_reach_the_kernel(self, coeffs, expected, monkeypatch):
+        p = Poly(coeffs)
+        calls = []
+        real = ratpoly._factor_squarefree_int
+        monkeypatch.setattr(ratpoly, "_factor_squarefree_int", lambda *a: calls.append(1) or real(*a))
+        assert is_irreducible(p) == expected == verify_irreducible(p)
+        assert calls == [1]
 
 
 class TestIntegerForm:
