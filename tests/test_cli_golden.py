@@ -4,8 +4,13 @@ Each case pins the exit code and the ``--json`` report, minus ``elapsed_s``,
 on fixed inputs written in non-canonical form: a non-monic point
 (``P(2*x^2 - 3)`` prints as ``P(x^2 - 3/2)``), non-integral rational points
 and maps with nonconstant denominators.  The expected reports live in
-``golden/cli_reports.json``; ``PYTHONPATH=src python tests/test_cli_golden.py``
-rewrites that file from the current code.
+``golden/cli_reports.json``.  The text contract lives in
+``golden/cli_text.json``: each case's exit code, stdout and stderr without
+``--json``, and each verb's options (option strings, dest, required) as
+``build_parser`` declares them; ``--help`` text is not pinned, because
+argparse formats it differently across Python versions.
+``PYTHONPATH=src python tests/test_cli_golden.py`` rewrites both files from
+the current code.
 """
 
 import argparse
@@ -19,6 +24,7 @@ import pytest
 from modtriples.cli import build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_reports.json"
+GOLDEN_TEXT = GOLDEN.with_name("cli_text.json")
 
 
 def _triple(plus: str, minus: str, boundary: list | None = None) -> dict:
@@ -92,11 +98,16 @@ CASES = {
 }
 
 
-def run_case(name: str, directory: Path) -> dict:
-    """Exit code and JSON report of one case, with its input files in ``directory``."""
+def _argv(name: str, directory: Path) -> list[str]:
+    """The arguments of one case, with its input files written to ``directory``."""
     for file, data in FILES.items():
         (directory / file).write_text(json.dumps(data), encoding="utf-8")
-    argv = [str(directory / arg) if arg in FILES else arg for arg in CASES[name]]
+    return [str(directory / arg) if arg in FILES else arg for arg in CASES[name]]
+
+
+def run_case(name: str, directory: Path) -> dict:
+    """Exit code and JSON report of one case, with its input files in ``directory``."""
+    argv = _argv(name, directory)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv + ["--json"])
@@ -105,10 +116,55 @@ def run_case(name: str, directory: Path) -> dict:
     return {"exit": code, "report": report}
 
 
+def run_text_case(name: str, directory: Path) -> dict:
+    """Exit code, stdout and stderr of one case without ``--json``."""
+    argv = _argv(name, directory)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def verb_options() -> dict:
+    """Each verb's options in declaration order: [option strings, dest, required]."""
+    options = {}
+    for command, sub in _subcommands(build_parser()).items():
+        verbs = _subcommands(sub).items() if command in ("check", "apply") else [("", sub)]
+        for verb, parser in verbs:
+            key = f"{command} {verb}".strip()
+            options[key] = [[a.option_strings, a.dest, a.required] for a in parser._actions]
+    return options
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert run_case(name, tmp_path) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_text(name, tmp_path):
+    golden = json.loads(GOLDEN_TEXT.read_text(encoding="utf-8"))
+    assert run_text_case(name, tmp_path) == golden["cases"][name]
+
+
+def test_golden_options():
+    golden = json.loads(GOLDEN_TEXT.read_text(encoding="utf-8"))
+    assert verb_options() == golden["options"]
+
+
+@pytest.mark.parametrize("name", ["check class", "apply shift"])
+def test_dash_reads_standard_input(name, tmp_path, monkeypatch):
+    argv = _argv(name, tmp_path)
+    flag = argv.index("--triple") + 1
+    text = Path(argv[flag]).read_text(encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    argv[flag] = "-"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    golden = json.loads(GOLDEN_TEXT.read_text(encoding="utf-8"))["cases"][name]
+    assert {"exit": code, "stdout": out.getvalue()} == {"exit": golden["exit"], "stdout": golden["stdout"]}
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict:
@@ -138,5 +194,8 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         reports = {name: run_case(name, Path(tmp)) for name in sorted(CASES)}
+        text = {"cases": {name: run_text_case(name, Path(tmp)) for name in sorted(CASES)},
+                "options": verb_options()}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(reports, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    GOLDEN_TEXT.write_text(json.dumps(text, sort_keys=True, indent=2) + "\n", encoding="utf-8")
