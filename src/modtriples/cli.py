@@ -13,6 +13,7 @@ arguments accept ``-`` for standard input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -48,10 +49,6 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load(path: str, kind: str):
-    return formats.parse_input(_read(path), kind)
-
-
 def _report(identifier: str, inputs: dict, verdict: str, payload: dict, started: float) -> dict:
     return {
         "schema": 1,
@@ -73,184 +70,138 @@ def _report(identifier: str, inputs: dict, verdict: str, payload: dict, started:
     }
 
 
-def _emit(args, report: dict, human: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(human)
-
-
-def _cycle_with_overrides(args):
-    cycle = _load(args.cycle, "cycle")
-    source = _load(args.source, "triple") if getattr(args, "source", None) else cycle.source
-    target = _load(args.target, "triple") if getattr(args, "target", None) else cycle.target
-    return cycle.with_ends(source, target)
-
-
 # ---------------------------------------------------------------------------
-# check verbs
+# verb handlers: each takes its verb's inputs in flag order and returns
+# (report inputs, verdict, payload, human text); the verdict "no" exits 1
 # ---------------------------------------------------------------------------
 
 
-def _check_admissible(args, started) -> int:
-    cycle = _cycle_with_overrides(args)
+def _yes(ok: bool) -> str:
+    return "yes" if ok else "no"
+
+
+def _words(flags: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in flags.items())
+
+
+def _admissible(cycle):
     report = is_admissible(cycle)
-    verdict = "yes" if report.ok else "no"
-    payload = {
-        "components": [
-            {"proper_over_source": v.proper_over_source, "modulus": v.modulus}
-            for v in report.verdicts
-        ]
-    }
-    _emit(args, _report("check admissible", formats.cycle_to_json(cycle), verdict, payload, started),
-          f"admissible: {verdict}")
-    return 0 if report.ok else 1
+    components = [{"proper_over_source": v.proper_over_source, "modulus": v.modulus} for v in report.verdicts]
+    verdict = _yes(report.ok)
+    return formats.cycle_to_json(cycle), verdict, {"components": components}, f"admissible: {verdict}"
 
 
-def _check_position(args, started) -> int:
-    cycle = _cycle_with_overrides(args)
-    verdicts = position_classify(cycle)
-    payload = {
-        "components": [
-            {"bad": v.bad, "very_good": v.very_good, "excellent": v.excellent}
-            for v in verdicts
-        ]
-    }
-    good = all(not v.bad for v in verdicts)
-    _emit(args, _report("check position", formats.cycle_to_json(cycle),
-                        "yes" if good else "no", payload, started),
-          "\n".join(
-              f"component {i}: bad={v.bad} very_good={v.very_good} excellent={v.excellent}"
-              for i, v in enumerate(verdicts)
-          ) or "zero cycle")
-    return 0 if good else 1
+def _position(cycle):
+    components = [{"bad": v.bad, "very_good": v.very_good, "excellent": v.excellent}
+                  for v in position_classify(cycle)]
+    human = "\n".join(f"component {i}: {_words(c)}" for i, c in enumerate(components)) or "zero cycle"
+    good = not any(c["bad"] for c in components)
+    return formats.cycle_to_json(cycle), _yes(good), {"components": components}, human
 
 
-def _check_class(args, started) -> int:
-    triple = _load(args.triple, "triple")
-    flags = classify(triple)
-    payload = {"class": {
-        "disjoint": flags.disjoint, "saturated": flags.saturated,
-        "min_class": flags.min_class, "man_class": flags.man_class,
-        "proper": flags.proper, "coadmissible": flags.coadmissible,
-        "modulus_pair": flags.modulus_pair,
-    }}
-    _emit(args, _report("check class", formats.triple_to_json(triple), "ok", payload, started),
-          " ".join(f"{k}={v}" for k, v in payload["class"].items()))
-    return 0
+def _class(triple):
+    flags = dataclasses.asdict(classify(triple))
+    return formats.triple_to_json(triple), "ok", {"class": flags}, _words(flags)
 
 
-# check verbs on a map or a cycle between two bridge objects: name -> (subject, object kind)
-_BRIDGE_CHECKS = {"iy": ("map", "iy"), "mlog": ("map", "mlog"), "ne-hom": ("cycle", "ne")}
+def _flag(cycle, name: str):
+    flags = dataclasses.asdict(morphism_flags(cycle))
+    return formats.cycle_to_json(cycle), _yes(flags[name]), {"flags": flags}, f"{name}: {_yes(flags[name])}"
 
 
-def _check_bridge(args, started) -> int:
-    name = args.predicate
-    kind, obj = _BRIDGE_CHECKS[name]
-    subject = _load(getattr(args, kind), kind)
-    # looked up per call, so a predicate rebound by name (as perfbench's tracer does) is the one run
-    test = {"iy": is_iy_morphism, "mlog": is_mlog_morphism, "ne-hom": ne_hom_member}[name]
-    ok = test(subject, _load(args.from_obj, obj), _load(args.to_obj, obj))
-    inputs = {"map": formats.map_to_json(subject)} if kind == "map" else formats.cycle_to_json(subject)
-    verdict = "yes" if ok else "no"
-    _emit(args, _report(f"check {name}", inputs, verdict, {}, started),
-          f"{'morphism' if kind == 'map' else 'member'}: {verdict}")
-    return 0 if ok else 1
+def _morphism(f, ok: bool):
+    return {"map": formats.map_to_json(f)}, _yes(ok), {}, f"morphism: {_yes(ok)}"
 
 
-def _check_flag(args, started, flag: str) -> int:
-    cycle = _cycle_with_overrides(args)
-    flags = morphism_flags(cycle)
-    ok = getattr(flags, flag)
-    payload = {"flags": {
-        "dominant": flags.dominant, "minimal": flags.minimal, "finite": flags.finite,
-        "finite_over_target": flags.finite_over_target, "sigma_fin": flags.sigma_fin,
-    }}
-    _emit(args, _report(f"check {flag}", formats.cycle_to_json(cycle),
-                        "yes" if ok else "no", payload, started),
-          f"{flag}: {'yes' if ok else 'no'}")
-    return 0 if ok else 1
+def _member(cycle, ok: bool):
+    return formats.cycle_to_json(cycle), _yes(ok), {}, f"member: {_yes(ok)}"
 
 
-# ---------------------------------------------------------------------------
-# apply verbs
-# ---------------------------------------------------------------------------
+def _result(out):
+    return {}, "ok", {"result": out}, json.dumps(out, sort_keys=True, indent=2)
 
 
-def _apply(args, started) -> int:
-    verb = args.operation
-    if verb == "dual":
-        out = formats.triple_to_json(dual(_load(args.triple, "triple")))
-    elif verb == "separate":
-        sep, fund = separation(_load(args.triple, "triple"))
-        out = {"triple": formats.triple_to_json(sep), "fundamental": formats.divisor_to_text(fund)}
-    elif verb == "kappa":
-        out = formats.triple_to_json(iy_to_triple(_load(args.iy, "iy")))
-    elif verb == "kappa-inv":
-        out = formats.iy_to_json(triple_to_iy(_load(args.triple, "triple")))
-    elif verb == "mlog-kappa":
-        out = formats.triple_to_json(mlog_to_triple(_load(args.mlog, "mlog")))
-    elif verb == "mlog-kappa-inv":
-        out = formats.mlog_to_json(triple_to_mlog(_load(args.triple, "triple")))
-    elif verb == "ne-embed":
-        out = formats.triple_to_json(ne_embed(_load(args.ne, "ne")))
-    elif verb == "g":
-        out = formats.triple_to_json(g_shrink(_load(args.triple, "triple")))
-    elif verb == "p":
-        out = formats.triple_sum_to_json(p_left(_load(args.triples, "triples")))
-    elif verb == "q":
-        out = formats.pair_to_json(q_right(_load(args.triple, "triple")))
-    elif verb == "s":
-        out = formats.triple_to_json(separation_adjoint(_load(args.triple, "triple")))
-    elif verb == "lambda":
-        out = formats.triple_to_json(lambda_embed(_load(args.space, "space")))
-    elif verb == "pullback-triple":
-        out = formats.triple_to_json(
-            pullback_triple(_load(args.map, "map"), _load(args.triple, "triple"))
-        )
-    elif verb == "shift":
-        morphism = shift_morphism(
-            _load(args.triple, "triple"), formats.parse_divisor(args.divisor)
-        )
-        out = {
-            "source": formats.triple_to_json(morphism.source),
-            "target": formats.triple_to_json(morphism.target),
-            "is_iso": morphism.is_iso,
-            "cycle": formats.cycle_to_json(morphism.cycle),
-        }
-    else:  # pragma: no cover - argparse restricts the choices
-        raise SymbolicError(f"unknown apply operation {verb!r}")
-    if getattr(args, "json", False):
-        _emit(args, _report(f"apply {verb}", {}, "ok", {"result": out}, started), "")
-    else:
-        print(json.dumps(out, sort_keys=True, indent=2))
-    return 0
+def _separate(triple):
+    sep, fund = separation(triple)
+    return _result({"triple": formats.triple_to_json(sep), "fundamental": formats.divisor_to_text(fund)})
 
 
-# ---------------------------------------------------------------------------
-# compose, min-compactify, suite
-# ---------------------------------------------------------------------------
+def _shift(triple, divisor):
+    morphism = shift_morphism(triple, divisor)
+    return _result({
+        "source": formats.triple_to_json(morphism.source),
+        "target": formats.triple_to_json(morphism.target),
+        "is_iso": morphism.is_iso,
+        "cycle": formats.cycle_to_json(morphism.cycle),
+    })
 
 
-def _compose(args, started) -> int:
-    first = _load(args.first, "cycle")
-    second = _load(args.second, "cycle")
-    result = compose(first, second)
-    out = formats.cycle_to_json(result)
-    if getattr(args, "json", False):
-        _emit(args, _report("compose", {}, "ok", {"result": out}, started), "")
-    else:
-        print(json.dumps(out, sort_keys=True, indent=2))
-    return 0
-
-
-def _min_compactify(args, started) -> int:
-    cycle = _cycle_with_overrides(args)
+def _min_compactify(cycle):
     level = minimal_compactification_level(cycle.source, cycle.target, cycle)
-    _emit(args, _report("min-compactify", formats.cycle_to_json(cycle), "ok",
-                        {"level": level}, started),
-          f"n = {level}")
-    return 0
+    return formats.cycle_to_json(cycle), "ok", {"level": level}, f"n = {level}"
+
+
+# ---------------------------------------------------------------------------
+# the verb table: every verb but suite, with its inputs and its handler
+# ---------------------------------------------------------------------------
+
+# Inputs in load order: "flag" reads the file given to --flag as an object of kind
+# "flag", "flag=kind" as one of that kind, and a trailing "?" makes the flag optional.
+# A divisor is inline text, not a file.  _ENDS is a cycle whose ends --source and
+# --target override when given.
+_ENDS = "cycle source=triple? target=triple?"
+
+# Handlers call engine functions by name at call time, so a function rebound by name
+# (as perfbench's tracer does) is the one run.
+_VERBS = {
+    "check admissible": (_ENDS, _admissible),
+    "check position": (_ENDS, _position),
+    "check sigma-fin": (_ENDS, lambda c: _flag(c, "sigma_fin")),
+    "check minimal": (_ENDS, lambda c: _flag(c, "minimal")),
+    "check class": ("triple", _class),
+    "check iy": ("map from=iy to=iy", lambda f, x, y: _morphism(f, is_iy_morphism(f, x, y))),
+    "check mlog": ("map from=mlog to=mlog", lambda f, x, y: _morphism(f, is_mlog_morphism(f, x, y))),
+    "check ne-hom": ("cycle from=ne to=ne", lambda c, x, y: _member(c, ne_hom_member(c, x, y))),
+    "apply dual": ("triple", lambda t: _result(formats.triple_to_json(dual(t)))),
+    "apply separate": ("triple", _separate),
+    "apply kappa-inv": ("triple", lambda t: _result(formats.iy_to_json(triple_to_iy(t)))),
+    "apply mlog-kappa-inv": ("triple", lambda t: _result(formats.mlog_to_json(triple_to_mlog(t)))),
+    "apply g": ("triple", lambda t: _result(formats.triple_to_json(g_shrink(t)))),
+    "apply q": ("triple", lambda t: _result(formats.pair_to_json(q_right(t)))),
+    "apply s": ("triple", lambda t: _result(formats.triple_to_json(separation_adjoint(t)))),
+    "apply kappa": ("iy", lambda o: _result(formats.triple_to_json(iy_to_triple(o)))),
+    "apply mlog-kappa": ("mlog", lambda o: _result(formats.triple_to_json(mlog_to_triple(o)))),
+    "apply ne-embed": ("ne", lambda x: _result(formats.triple_to_json(ne_embed(x)))),
+    "apply p": ("triples", lambda ts: _result(formats.triple_sum_to_json(p_left(ts)))),
+    "apply lambda": ("space", lambda x: _result(formats.triple_to_json(lambda_embed(x)))),
+    "apply pullback-triple": ("map triple", lambda f, t: _result(formats.triple_to_json(pullback_triple(f, t)))),
+    "apply shift": ("triple divisor", _shift),
+    "compose": ("first=cycle second=cycle", lambda c1, c2: _result(formats.cycle_to_json(compose(c1, c2)))),
+    "min-compactify": (_ENDS, _min_compactify),
+}
+_HELP = {"check": "decide a predicate", "apply": "apply a functor or construction",
+         "compose": "compose two cycles", "min-compactify": "least compactification level"}
+
+
+def _options(spec: str):
+    """(flag, dest, kind, required) for each input of a verb, in load order."""
+    for token in spec.split():
+        name, _, kind = token.rstrip("?").partition("=")
+        # "from" is a keyword, so --from and --to keep their values under from_obj and to_obj
+        dest = f"{name}_obj" if name in ("from", "to") else name
+        yield f"--{name}", dest, kind or name, not token.endswith("?")
+
+
+def _inputs(args, spec: str) -> list:
+    values = []
+    for _, dest, kind, required in _options(spec):
+        value = getattr(args, dest)  # an optional flag left out, or given empty, reads as None
+        values.append(formats.parse_input(value if kind == "divisor" else _read(value), kind)
+                      if value or required else None)
+    if spec == _ENDS:
+        cycle, source, target = values
+        return [cycle.with_ends(source or cycle.source, target or cycle.target)]
+    return values
 
 
 def _suite(args, started) -> int:
@@ -288,66 +239,18 @@ def _add_json(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="modtriples", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="decide a predicate")
-    check_sub = check.add_subparsers(dest="predicate", required=True)
-    for name in ("admissible", "position", "sigma-fin", "minimal"):
-        p = check_sub.add_parser(name)
-        p.add_argument("--cycle", required=True)
-        p.add_argument("--source")
-        p.add_argument("--target")
+    groups = {}
+    for key, (spec, _) in _VERBS.items():
+        group, _, verb = key.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(group, help=_HELP[group]).add_subparsers(
+                dest="predicate" if group == "check" else "operation", required=True)
+        p = groups[group].add_parser(verb) if group else sub.add_parser(verb, help=_HELP[verb])
+        for flag, dest, kind, required in _options(spec):
+            p.add_argument(flag, dest=dest, required=required,
+                           help="inline effective divisor text" if kind == "divisor" else None)
         _add_json(p)
-    p = check_sub.add_parser("class")
-    p.add_argument("--triple", required=True)
-    _add_json(p)
-    for name, (kind, _) in _BRIDGE_CHECKS.items():
-        p = check_sub.add_parser(name)
-        p.add_argument(f"--{kind}", required=True)
-        p.add_argument("--from", dest="from_obj", required=True)
-        p.add_argument("--to", dest="to_obj", required=True)
-        _add_json(p)
-
-    apply_p = sub.add_parser("apply", help="apply a functor or construction")
-    apply_sub = apply_p.add_subparsers(dest="operation", required=True)
-    needs_triple = ("dual", "separate", "kappa-inv", "mlog-kappa-inv", "g", "q", "s")
-    for name in needs_triple:
-        p = apply_sub.add_parser(name)
-        p.add_argument("--triple", required=True)
-        _add_json(p)
-    p = apply_sub.add_parser("kappa")
-    p.add_argument("--iy", required=True)
-    _add_json(p)
-    p = apply_sub.add_parser("mlog-kappa")
-    p.add_argument("--mlog", required=True)
-    _add_json(p)
-    p = apply_sub.add_parser("ne-embed")
-    p.add_argument("--ne", required=True)
-    _add_json(p)
-    p = apply_sub.add_parser("p")
-    p.add_argument("--triples", required=True)
-    _add_json(p)
-    p = apply_sub.add_parser("lambda")
-    p.add_argument("--space", required=True)
-    _add_json(p)
-    p = apply_sub.add_parser("pullback-triple")
-    p.add_argument("--map", required=True)
-    p.add_argument("--triple", required=True)
-    _add_json(p)
-    p = apply_sub.add_parser("shift")
-    p.add_argument("--triple", required=True)
-    p.add_argument("--divisor", required=True, help="inline effective divisor text")
-    _add_json(p)
-
-    p = sub.add_parser("compose", help="compose two cycles")
-    p.add_argument("--first", required=True)
-    p.add_argument("--second", required=True)
-    _add_json(p)
-
-    p = sub.add_parser("min-compactify", help="least compactification level")
-    p.add_argument("--cycle", required=True)
-    p.add_argument("--source")
-    p.add_argument("--target")
-    _add_json(p)
+        p.set_defaults(verb=key)
 
     p = sub.add_parser("suite", help="run randomized property suites")
     p.add_argument("--suites", default="all", help="comma-separated suite names or 'all'")
@@ -360,31 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CHECKS = {
-    "admissible": _check_admissible,
-    "position": _check_position,
-    "class": _check_class,
-    **dict.fromkeys(_BRIDGE_CHECKS, _check_bridge),
-    "sigma-fin": lambda args, started: _check_flag(args, started, "sigma_fin"),
-    "minimal": lambda args, started: _check_flag(args, started, "minimal"),
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.command == "check":
-            return _CHECKS[args.predicate](args, started)
-        if args.command == "apply":
-            return _apply(args, started)
-        if args.command == "compose":
-            return _compose(args, started)
-        if args.command == "min-compactify":
-            return _min_compactify(args, started)
         if args.command == "suite":
             return _suite(args, started)
+        spec, handler = _VERBS[args.verb]
+        inputs, verdict, payload, human = handler(*_inputs(args, spec))
+        identifier = "check sigma_fin" if args.verb == "check sigma-fin" else args.verb
+        report = _report(identifier, inputs, verdict, payload, started)
+        print(json.dumps(report, sort_keys=True, indent=2) if args.json else human)
+        return 1 if verdict == "no" else 0
     except SymbolicError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         if getattr(args, "json", False):
@@ -396,7 +286,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable command")
 
 
 if __name__ == "__main__":

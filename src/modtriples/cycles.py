@@ -40,7 +40,7 @@ from .errors import (
     TypeMismatch,
     UnsupportedComposition,
 )
-from .triples import CheckedMap, ModulusTriple, ProductData, modulus_condition
+from .triples import ModulusTriple, modulus_condition
 
 
 class Component:
@@ -61,9 +61,6 @@ class Component:
 
     def __setattr__(self, name, value):
         raise AttributeError("Component is immutable")
-
-    def as_checked_map(self) -> CheckedMap:
-        return CheckedMap(a=self.a, b=self.b)
 
     def pair_key(self) -> tuple:
         return (self.a.sort_key(), self.b.sort_key())
@@ -225,12 +222,11 @@ def _left_proper(comp: Component, source: ModulusTriple, target: ModulusTriple) 
 
 def is_admissible(alpha: Cycle) -> AdmissibilityReport:
     """Check the modulus condition and left properness, per component."""
-    data = ProductData(alpha.source, alpha.target)
     verdicts = []
     ok = True
     for comp in alpha.components:
         proper = _left_proper(comp, alpha.source, alpha.target)
-        modulus = modulus_condition(comp.as_checked_map(), data)
+        modulus = modulus_condition(comp.a, comp.b, alpha.source, alpha.target)
         verdicts.append(ComponentVerdict(comp, proper, modulus))
         ok = ok and proper and modulus
     return AdmissibilityReport(ok, tuple(verdicts))

@@ -11,13 +11,11 @@ of the reduced boundary).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .cycles import Component, Cycle, all_excellent, graph_cycle, is_admissible
+from .cycles import Cycle, all_excellent, graph_cycle, is_admissible
 from .divisors import (
     CurveSpace,
     Divisor,
-    PullbackComparison,
     RationalMap,
     canonical_split,
     pullback_divisor,
@@ -33,7 +31,7 @@ from .errors import (
     NotManClass,
     NotMinClass,
 )
-from .triples import ModulusPair, ModulusTriple, TripleSum, classify, separation
+from .triples import ModulusPair, ModulusTriple, TripleSum, classify, component_comparison, separation
 
 
 @dataclass(frozen=True)
@@ -407,12 +405,13 @@ def minimal_compactification_level(
     divisor; the chain is cofinal among compactifications on the curve.
     Stages and target are proper, so left properness holds, nothing
     escapes, and stage n admits a component (a, b) exactly when
-    D0 + n*a*(B_red) >= 0 with D0 = a*S+ - a*S- + b*T- - b*T+.  Each
-    gcd-free basis piece of the fiber forms, and infinity, carries
-    c + n*e with e >= 0, so the level is max(1, ceil(-c/e)) over every
-    component and every piece with c < 0: a closed form, no stage is
-    probed.  A constant b keeps its membership shortcut, independent of
-    n.  CertificationError means no stage up to max_level is admissible.
+    D0 + n*a*(B_red) >= 0, where D0 is the component's comparison
+    against stage 0, (proper line, S+, S-).  Each gcd-free basis piece
+    of the fiber forms, and infinity, carries c + n*e with e >= 0, so
+    the level is max(1, ceil(-c/e)) over every component and every
+    piece with c < 0: a closed form, no stage is probed.  The membership
+    rules for a constant b do not depend on n.  CertificationError
+    means no stage up to max_level is admissible.
     """
     if t.total.is_proper:
         raise DegenerateInput("the source must have an open total space")
@@ -421,24 +420,13 @@ def minimal_compactification_level(
     if not is_admissible(alpha.with_ends(t, s)):
         raise NotAdmissible("candidate is not admissible from the open triple")
     b_red = Divisor((p, 1) for p in t.total.boundary)
-    levels = [1, *(_stage_level(comp, t, s, b_red) for comp in alpha.components)]
+    stage0 = ModulusTriple.proper(t.plus, t.minus)  # proper, so nothing escapes
+    levels = [1]
+    for comp in alpha.components:
+        # the precheck passed, so no component is a constant b in |T+| outside |T-|
+        cmp = component_comparison(comp.a, comp.b, stage0, s)
+        cmp.add_growth(comp.a, b_red)
+        levels.append(cmp.least_level())
     if None in levels or max(levels) > max_level:
         raise CertificationError("no stage admitted the correspondence below the search cap")
     return max(levels)
-
-
-def _stage_level(comp: Component, t: ModulusTriple, s: ModulusTriple, b_red: Divisor) -> Optional[int]:
-    """Least n >= 0 with comp admissible from plus + n*B_red, or None."""
-    if comp.b.is_constant:
-        if comp.b.value in s.minus.support():
-            return 0
-        if comp.b.value in s.plus.support():
-            return None
-    cmp = PullbackComparison()
-    cmp.add_pullback(comp.a, t.plus, +1)
-    cmp.add_pullback(comp.a, t.minus, -1)
-    cmp.add_growth(comp.a, b_red)
-    if not comp.b.is_constant:
-        cmp.add_pullback(comp.b, s.minus, +1)
-        cmp.add_pullback(comp.b, s.plus, -1)
-    return cmp.least_level()

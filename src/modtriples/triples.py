@@ -109,29 +109,6 @@ class TripleSum:
         return not self.summands
 
 
-@dataclass(frozen=True)
-class ProductData:
-    """Source and target of a correspondence, standing in for their product.
-
-    The product triple on the surface is never materialized: every
-    check pulls its divisors back to the component's domain line.
-    """
-
-    source: ModulusTriple
-    target: ModulusTriple
-
-
-@dataclass(frozen=True)
-class CheckedMap:
-    """A map from the line into a product of totals, given by two legs.
-
-    ``a`` lands in the source total and ``b`` in the target total.
-    """
-
-    a: RationalMap
-    b: RationalMap
-
-
 # ---------------------------------------------------------------------------
 # structural operations
 # ---------------------------------------------------------------------------
@@ -219,37 +196,47 @@ def pullback_triple(f: RationalMap, t: ModulusTriple) -> ModulusTriple:
 # ---------------------------------------------------------------------------
 
 
-def modulus_condition(m: CheckedMap, data: ProductData) -> bool:
-    """Decide the modulus condition of a component against source x target.
+def component_comparison(
+    a: RationalMap, b: RationalMap, source: ModulusTriple, target: ModulusTriple
+) -> Optional[PullbackComparison]:
+    """The modulus inequality of a component (a, b) against source x target.
 
-    For a component with legs (a, b) the condition is the divisor
-    inequality a*S+ + b*T- >= a*S- + b*T+ on the domain line, checked
-    away from the points that leave the open models.  A leg that
-    collapses to a point contributes by membership: a value inside the
-    relevant support makes its side infinitely large.  In particular a
-    constant b inside |T-| always passes (the projective branch), and a
-    constant b inside |T+| but not |T-| always fails.
+    The comparison holds a*S+ + b*T- - a*S- - b*T+ on the domain line,
+    with the points that leave the open models marked as escapes.  A
+    leg that collapses to a point contributes by membership: a value
+    inside the relevant support makes its side infinitely large.  So a
+    constant b inside |T-| gives an empty comparison, which holds (the
+    projective branch), and a constant b inside |T+| but not |T-| gives
+    None: the condition fails whatever else is added.
     """
-    s, t = data.source, data.target
-    if m.a.is_constant:
+    if a.is_constant:
         raise NotFiniteOverSource("the source leg of a line component must be nonconstant")
     cmp = PullbackComparison()
-    cmp.add_pullback(m.a, s.plus, +1)
-    cmp.add_pullback(m.a, s.minus, -1)
-    if m.b.is_constant:
-        c = m.b.value
-        if c in t.minus.support():
-            return True
-        if c in t.plus.support():
-            return False
-    else:
-        cmp.add_pullback(m.b, t.minus, +1)
-        cmp.add_pullback(m.b, t.plus, -1)
-        if not t.total.is_proper:
-            cmp.add_escape_map(m.b, t.total.boundary)
-    if not s.total.is_proper:
-        cmp.add_escape_map(m.a, s.total.boundary)
-    return cmp.effective()
+    if b.is_constant and b.value in target.minus.support():
+        return cmp
+    if b.is_constant and b.value in target.plus.support():
+        return None
+    cmp.add_pullback(a, source.plus, +1)
+    cmp.add_pullback(a, source.minus, -1)
+    if not b.is_constant:
+        cmp.add_pullback(b, target.minus, +1)
+        cmp.add_pullback(b, target.plus, -1)
+        if not target.total.is_proper:
+            cmp.add_escape_map(b, target.total.boundary)
+    if not source.total.is_proper:
+        cmp.add_escape_map(a, source.total.boundary)
+    return cmp
+
+
+def modulus_condition(a: RationalMap, b: RationalMap, source: ModulusTriple, target: ModulusTriple) -> bool:
+    """Decide the modulus condition of a component (a, b) against source x target.
+
+    The inequality a*S+ + b*T- >= a*S- + b*T+ on the domain line, checked
+    away from the points that leave the open models; see
+    ``component_comparison`` for the legs that collapse to a point.
+    """
+    cmp = component_comparison(a, b, source, target)
+    return cmp is not None and cmp.effective()
 
 
 def modulus_condition_point(w: ClosedPoint, t: ModulusTriple) -> bool:

@@ -8,10 +8,8 @@ irreducible factorization of every pullback and compare.
 import random
 
 from modtriples import (
-    CheckedMap,
     Divisor,
     ModulusTriple,
-    ProductData,
     RationalMap,
     modulus_condition,
     point_image,
@@ -23,26 +21,25 @@ from modtriples.suites import point_pool, random_effective, random_map, rational
 SAMPLES = 120
 
 
-def naive_modulus_condition(m: CheckedMap, data: ProductData) -> bool:
-    s, t = data.source, data.target
-    if m.b.is_constant:
-        c = m.b.value
+def naive_modulus_condition(a: RationalMap, b: RationalMap, s: ModulusTriple, t: ModulusTriple) -> bool:
+    if b.is_constant:
+        c = b.value
         if c in t.minus.support():
             return True
         if c in t.plus.support():
             return False
         b_plus = b_minus = Divisor.zero()
     else:
-        b_plus = pullback_divisor(m.b, t.plus)
-        b_minus = pullback_divisor(m.b, t.minus)
-    lhs = pullback_divisor(m.a, s.plus) + b_minus
-    rhs = pullback_divisor(m.a, s.minus) + b_plus
+        b_plus = pullback_divisor(b, t.plus)
+        b_minus = pullback_divisor(b, t.minus)
+    lhs = pullback_divisor(a, s.plus) + b_minus
+    rhs = pullback_divisor(a, s.minus) + b_plus
     escaped = set()
     for q in s.total.boundary:
-        escaped |= pullback_divisor(m.a, Divisor.of(q)).support()
-    if not m.b.is_constant:
+        escaped |= pullback_divisor(a, Divisor.of(q)).support()
+    if not b.is_constant:
         for q in t.total.boundary:
-            escaped |= pullback_divisor(m.b, Divisor.of(q)).support()
+            escaped |= pullback_divisor(b, Divisor.of(q)).support()
     return all(mult >= 0 for point, mult in lhs - rhs if point not in escaped)
 
 
@@ -123,10 +120,7 @@ def test_modulus_condition_matches_naive_route():
     rng = random.Random(314)
     for _ in range(SAMPLES):
         s, t, a, b = _random_instance(rng)
-        m = CheckedMap(a=a, b=b)
-        assert modulus_condition(m, ProductData(s, t)) == naive_modulus_condition(
-            m, ProductData(s, t)
-        ), (s, t, a, b)
+        assert modulus_condition(a, b, s, t) == naive_modulus_condition(a, b, s, t), (s, t, a, b)
 
 
 def test_left_properness_matches_naive_route():

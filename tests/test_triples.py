@@ -6,14 +6,12 @@ import pytest
 
 from modtriples import (
     INFINITY,
-    CheckedMap,
     ClosedPoint,
     CurveSpace,
     Divisor,
     ModulusTriple,
     NotEffective,
     NotFiniteOverSource,
-    ProductData,
     RationalMap,
     classify,
     dual,
@@ -26,6 +24,7 @@ from modtriples import (
     shift_morphism,
 )
 from modtriples.cycles import is_admissible
+from modtriples.triples import component_comparison
 from polyref import Poly
 
 X = Poly.x()
@@ -113,29 +112,36 @@ class TestClassify:
 
 class TestModulusCondition:
     def test_unit_interval_to_dual(self):
-        m = CheckedMap(a=ID, b=ID)
-        assert modulus_condition(m, ProductData(BOX, BOXDUAL)) is True
+        assert modulus_condition(ID, ID, BOX, BOXDUAL) is True
 
     def test_doubled_to_plain(self):
-        m = CheckedMap(a=ID, b=ID)
-        assert modulus_condition(m, ProductData(ModulusTriple.proper(2 * DINF, DINF), BOX)) is True
+        assert modulus_condition(ID, ID, ModulusTriple.proper(2 * DINF, DINF), BOX) is True
 
     def test_square_fails(self):
-        m = CheckedMap(a=ID, b=SQ)
-        assert modulus_condition(m, ProductData(BOX, BOX)) is False
+        assert modulus_condition(ID, SQ, BOX, BOX) is False
 
     def test_constant_source_leg_rejected(self):
-        m = CheckedMap(a=RationalMap.constant(P0), b=ID)
         with pytest.raises(NotFiniteOverSource):
-            modulus_condition(m, ProductData(BOX, BOX))
+            modulus_condition(RationalMap.constant(P0), ID, BOX, BOX)
 
     def test_constant_branch(self):
         target = ModulusTriple.proper(ZERO, D0)
-        m = CheckedMap(a=ID, b=RationalMap.constant(P0))
-        assert modulus_condition(m, ProductData(BOX, target)) is True
+        assert modulus_condition(ID, RationalMap.constant(P0), BOX, target) is True
         blocked = ModulusTriple.proper(D0, ZERO)
-        m2 = CheckedMap(a=ID, b=RationalMap.constant(P0))
-        assert modulus_condition(m2, ProductData(BOX, blocked)) is False
+        assert modulus_condition(ID, RationalMap.constant(P0), BOX, blocked) is False
+
+    def test_comparison_of_a_constant_leg(self):
+        const = RationalMap.constant(P0)
+        # b in |T+| but not |T-|: no comparison, the condition fails whatever a does
+        assert component_comparison(ID, const, BOXDUAL, ModulusTriple.proper(D0, ZERO)) is None
+        # b in |T-|: the empty comparison, which holds even against a source whose
+        # own terms, -a*S- here, would fail
+        source = ModulusTriple.proper(ZERO, DINF)
+        assert modulus_condition(ID, ID, source, ModulusTriple.proper(ZERO, ZERO)) is False
+        cmp = component_comparison(ID, const, source, ModulusTriple.proper(D0, D0))
+        assert cmp is not None and cmp.effective()
+        with pytest.raises(NotFiniteOverSource):
+            component_comparison(const, ID, BOX, BOX)
 
     def test_invariant_under_reparametrization(self):
         # precomposition with any nonconstant self-map preserves the verdict
@@ -150,10 +156,8 @@ class TestModulusCondition:
             a = random_map(rng, 3, 8)
             b = random_map(rng, 3, 8)
             h = random_map(rng, 2, 6)
-            plain = modulus_condition(CheckedMap(a=a, b=b), ProductData(s, t))
-            pulled = modulus_condition(
-                CheckedMap(a=compose_maps(a, h), b=compose_maps(b, h)), ProductData(s, t)
-            )
+            plain = modulus_condition(a, b, s, t)
+            pulled = modulus_condition(compose_maps(a, h), compose_maps(b, h), s, t)
             assert plain == pulled
 
     def test_monotone_in_source_plus(self):
@@ -161,10 +165,9 @@ class TestModulusCondition:
         for _ in range(60):
             s = random_triple(rng, POOL)
             t = random_triple(rng, POOL)
-            m = CheckedMap(a=ID, b=SQ)
-            before = modulus_condition(m, ProductData(s, t))
+            before = modulus_condition(ID, SQ, s, t)
             grown = ModulusTriple.proper(s.plus + Divisor.of(P1), s.minus)
-            after = modulus_condition(m, ProductData(grown, t))
+            after = modulus_condition(ID, SQ, grown, t)
             assert not (before and not after)
 
 
