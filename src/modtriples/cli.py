@@ -271,8 +271,7 @@ def main(argv=None) -> int:
             return _suite(args, started)
         spec, handler = _VERBS[args.verb]
         inputs, verdict, payload, human = handler(*_inputs(args, spec))
-        identifier = "check sigma_fin" if args.verb == "check sigma-fin" else args.verb
-        report = _report(identifier, inputs, verdict, payload, started)
+        report = _report(args.verb, inputs, verdict, payload, started)
         print(json.dumps(report, sort_keys=True, indent=2) if args.json else human)
         return 1 if verdict == "no" else 0
     except SymbolicError as exc:
