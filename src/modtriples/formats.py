@@ -279,8 +279,8 @@ def parse_divisor(text: str) -> Divisor:
     for sign, chunk in _split_signed_terms(text):
         chunk = chunk.strip()
         mult = 1
-        if "*P(" in chunk:
-            mult_text, _, rest = chunk.partition("*")
+        mult_text, star, rest = chunk.partition("*")
+        if star and rest.lstrip().startswith("P("):  # a multiple n*P(...), spaces allowed around *
             try:
                 mult = int(mult_text.strip())
             except ValueError as exc:

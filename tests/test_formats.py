@@ -222,15 +222,17 @@ class TestDivisorText:
     def test_cancellation(self):
         assert parse_divisor("1*P(0) - 1*P(0)").is_zero
 
-    def test_round_trip(self):
-        d = Divisor(
-            [
-                (INFINITY, -2),
-                (ClosedPoint.rational(0), 3),
-                (ClosedPoint.finite(X**2 - Poly.constant(2)), 1),
-            ]
-        )
-        assert parse_divisor(divisor_to_text(d)) == d
+    @pytest.mark.parametrize("text", ["2 * P(1)", "2* P(1)", "2 *P(1)", " 2  *  P(1) "])
+    def test_spaces_around_the_multiplicity_star(self, text):
+        assert parse_divisor(text) == parse_divisor("2*P(1)")
+        assert parse_divisor(f"P(0) - {text}") == parse_divisor("P(0) - 2*P(1)")
+
+    def test_star_outside_a_multiple(self):
+        assert parse_divisor("P(2*x)") == Divisor.of(ClosedPoint.rational(0))
+        with pytest.raises(ParseError, match=r"bad multiplicity '\(2\)'"):
+            parse_divisor("(2)*P(1)")
+        with pytest.raises(ParseError, match="point literal must look like P"):
+            parse_divisor("2*x")
 
 
 class TestJson:
