@@ -234,6 +234,16 @@ class TestDivisorText:
         with pytest.raises(ParseError, match="point literal must look like P"):
             parse_divisor("2*x")
 
+    def test_round_trip(self):
+        d = Divisor(
+            [
+                (INFINITY, -2),
+                (ClosedPoint.rational(0), 3),
+                (ClosedPoint.finite(X**2 - Poly.constant(2)), 1),
+            ]
+        )
+        assert parse_divisor(divisor_to_text(d)) == d
+
 
 class TestJson:
     def test_triple(self):
