@@ -219,6 +219,22 @@ class TestPositions:
         verdict = position_classify(cycle)[0]
         assert verdict.bad and not verdict.very_good and not verdict.excellent
 
+    def test_collapsed_leg_in_each_placement(self):
+        # (target, c, bad, very good, excellent); the source never matters
+        placements = [
+            (ModulusTriple.proper(ZERO, D0), P0, True, False, False),  # in |T-|, interior
+            (ModulusTriple.proper(D0, D0), P0, False, True, False),  # in |T-| and |T+|
+            (ModulusTriple.proper(ZERO, D0), P1, False, True, True),  # outside |T-|
+            (ModulusTriple(CurveSpace.open([P1]), ZERO, D0), P1, False, True, True),  # removed
+        ]
+        sources = [BOX, ModulusTriple(CurveSpace.open([INFINITY]), ZERO, D0)]
+        for target, c, bad, very_good, excellent in placements:
+            for source in sources:
+                cycle = Cycle(source, target, [Component(SQ, RationalMap.constant(c), 1)])
+                verdict = position_classify(cycle)[0]
+                assert (verdict.bad, verdict.very_good, verdict.excellent) == (
+                    bad, very_good, excellent), (target, c, source)
+
     def test_excellent_implies_very_good(self):
         import random
 
