@@ -194,10 +194,10 @@ def _options(spec: str):
 
 def _inputs(args, spec: str) -> list:
     values = []
-    for _, dest, kind, required in _options(spec):
-        value = getattr(args, dest)  # an optional flag left out, or given empty, reads as None
+    for _, dest, kind, _ in _options(spec):
+        value = getattr(args, dest)  # None only when an optional flag is left out; "" is read as a path
         values.append(formats.parse_input(value if kind == "divisor" else _read(value), kind)
-                      if value or required else None)
+                      if value is not None else None)
     if spec == _ENDS:
         cycle, source, target = values
         return [cycle.with_ends(source or cycle.source, target or cycle.target)]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .divisors import (
-    Locus,
     RationalMap,
     compose_maps,
     locus_subset,
@@ -351,6 +350,11 @@ def position_classify(alpha: Cycle) -> tuple[PositionVerdict, ...]:
     |S-|.  very good: the same restricted to the interior part of the
     component; excellent implies very good.  All sets are read inside
     the open models, so boundary escapes never count.
+
+    A leg collapsed to c sends the whole (infinite) closure to c, which
+    no finite preimage of |S-| holds, so it is read in closed form:
+    bad = c in |T-| and in T's interior, very good = not bad and
+    excellent = c not in |T-| (|T-| never meets a removed boundary).
     """
     s, t = alpha.source, alpha.target
     out = []
@@ -359,17 +363,17 @@ def position_classify(alpha: Cycle) -> tuple[PositionVerdict, ...]:
             c = comp.b.value
             in_minus = c in t.minus.support()
             bad = in_minus and t.in_interior(c)
-            hit_t = Locus.everything() if in_minus and c not in t.total.boundary else Locus.empty()
-            left_interior = Locus.empty() if t.in_interior(c) else Locus.everything()
+            very_good, excellent = not bad, not in_minus
         else:
             bad = False
             hit_t = preimage_locus(comp.b, t.minus.support())
-            left_interior = preimage_locus(comp.b, t.bad_set())
-        over_s_minus = preimage_locus(comp.a, s.minus.support())
-        escape = preimage_locus(comp.a, s.total.boundary)
-        excellent = locus_subset(locus_subtract(hit_t, escape), over_s_minus)
-        outside = locus_union(preimage_locus(comp.a, s.bad_set()), left_interior)
-        very_good = locus_subset(locus_subtract(hit_t, outside), over_s_minus)
+            over_s_minus = preimage_locus(comp.a, s.minus.support())
+            escape = preimage_locus(comp.a, s.total.boundary)
+            excellent = locus_subset(locus_subtract(hit_t, escape), over_s_minus)
+            outside = locus_union(
+                preimage_locus(comp.a, s.bad_set()), preimage_locus(comp.b, t.bad_set())
+            )
+            very_good = locus_subset(locus_subtract(hit_t, outside), over_s_minus)
         out.append(
             PositionVerdict(component=comp, bad=bad, very_good=very_good, excellent=excellent)
         )

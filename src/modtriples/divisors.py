@@ -18,7 +18,6 @@ squarefree part and its points, each computed once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Optional
@@ -661,38 +660,22 @@ def canonical_split(d: Divisor) -> tuple[Divisor, Divisor]:
 # ---------------------------------------------------------------------------
 
 
-class LocusKind(Enum):
-    FINITE = "finite"
-    ALL = "all"
-    COFINITE = "cofinite"
-
-
 @dataclass(frozen=True)
 class Locus:
-    """A Galois-stable set of closed points of the line.
+    """A finite Galois-stable set of closed points of the line.
 
-    FINITE loci carry a primitive squarefree integer polynomial with a
-    positive leading coefficient (roots = the finite points; ascending
-    coefficients) and a flag for infinity.  ALL is the whole line;
-    COFINITE only ever appears as the left side of an inclusion test,
-    where "infinite" is all that matters.
+    ``poly`` is a primitive squarefree integer polynomial with a positive
+    leading coefficient (roots = the finite points; ascending
+    coefficients) and ``has_infinity`` flags the point at infinity.
+    ``Locus()`` is the empty locus.
     """
 
-    kind: LocusKind
     poly: tuple[int, ...] = (1,)
     has_infinity: bool = False
 
-    @classmethod
-    def empty(cls) -> "Locus":
-        return cls(LocusKind.FINITE)
-
-    @classmethod
-    def everything(cls) -> "Locus":
-        return cls(LocusKind.ALL)
-
     @property
     def is_empty(self) -> bool:
-        return self.kind is LocusKind.FINITE and len(self.poly) == 1 and not self.has_infinity
+        return len(self.poly) == 1 and not self.has_infinity
 
 
 # Products and quotients of primitive polynomials with positive leading
@@ -709,65 +692,45 @@ def points_locus(points: Iterable[ClosedPoint]) -> Locus:
             inf = True
         else:
             acc = _zmul(acc, p.ints)
-    return Locus(LocusKind.FINITE, tuple(acc), inf)
+    return Locus(tuple(acc), inf)
 
 
 def preimage_locus(f: RationalMap, points: Iterable[ClosedPoint]) -> Locus:
-    """{n : f(n) in points}, as a locus on the source line."""
-    pts = list(points)
+    """{n : f(n) in points}, as a locus on the source line; f must be nonconstant."""
     if f.is_constant:
-        return Locus.everything() if f.const in pts else Locus.empty()
+        raise DegenerateInput("preimage locus needs a nonconstant map")
     acc = [1]
     inf = False
-    for p in pts:
+    for p in points:
         fiber = _fiber_cached(f, p)
         if fiber.k > 0:
             inf = True
         if len(fiber.ints) > 1:
             acc = _zmul(acc, fiber.squarefree())
     # fibers of distinct points are disjoint, so the product is squarefree
-    return Locus(LocusKind.FINITE, tuple(acc), inf)
+    return Locus(tuple(acc), inf)
 
 
 def locus_subtract(a: Locus, b: Locus) -> Locus:
-    if b.kind is LocusKind.ALL:
-        return Locus.empty()
-    if a.kind is LocusKind.ALL:
-        return Locus(LocusKind.COFINITE) if not b.is_empty else a
-    if a.kind is LocusKind.COFINITE:
-        return a
-    if b.kind is LocusKind.COFINITE:
-        # conservative: unused in the checks we run
-        raise DegenerateInput("cannot subtract a cofinite locus")
     poly = a.poly
     if len(poly) > 1 and len(b.poly) > 1:
         g = _zgcd(poly, b.poly)
         if len(g) > 1:
             poly = tuple(_zdiv_exact(poly, g))
-    return Locus(LocusKind.FINITE, poly, a.has_infinity and not b.has_infinity)
+    return Locus(poly, a.has_infinity and not b.has_infinity)
 
 
 def locus_union(a: Locus, b: Locus) -> Locus:
-    if a.kind is not LocusKind.FINITE or b.kind is not LocusKind.FINITE:
-        return Locus.everything()
     poly = a.poly
     other = b.poly
     if len(poly) == 1:
         poly = other
     elif len(other) > 1:
         poly = tuple(_zmul(poly, _zdiv_exact(other, _zgcd(poly, other))))
-    return Locus(LocusKind.FINITE, poly, a.has_infinity or b.has_infinity)
+    return Locus(poly, a.has_infinity or b.has_infinity)
 
 
 def locus_subset(a: Locus, b: Locus) -> bool:
-    if a.kind is LocusKind.FINITE and a.is_empty:
-        return True
-    if b.kind is LocusKind.ALL:
-        return True
-    if a.kind in (LocusKind.ALL, LocusKind.COFINITE):
-        return False  # infinite sets never fit in a finite locus
-    if b.kind is LocusKind.COFINITE:
-        raise DegenerateInput("cannot test inclusion in a cofinite locus")
     if a.has_infinity and not b.has_infinity:
         return False
     return _zdiv_exact(b.poly, a.poly) is not None

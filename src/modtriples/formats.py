@@ -264,10 +264,11 @@ def _split_signed_terms(text: str) -> list[tuple[int, str]]:
                 sign = -sign
                 continue
             start = i
-    if start is not None:
-        terms.append((sign, text[start:]))
     if depth:
         raise ParseError("unbalanced parentheses")
+    if start is None:  # the text is not blank, so it ends in a sign
+        raise ParseError("a sign must be followed by a term", column=len(text))
+    terms.append((sign, text[start:]))
     return terms
 
 

@@ -353,8 +353,8 @@ def minus_transfer_holds(comp: Component, s: ModulusTriple, t: ModulusTriple) ->
         hit_minus = preimage_locus(comp.b, t.minus.support())
         off_t = preimage_locus(comp.b, t.bad_set())
     else:
-        hit_minus = Locus.empty()  # the constant misses |T-|
-        off_t = Locus.empty()  # the constant sits in the interior
+        hit_minus = Locus()  # the constant misses |T-|
+        off_t = Locus()  # the constant sits in the interior
     if not cmp.effective():
         return False
     lhs = locus_subtract(
@@ -865,7 +865,10 @@ def suite_equal_modulus(rng: random.Random, cfg: SuiteConfig, rec: Recorder) -> 
         else:
             b = random_map(rng, cfg.degree_bound, cfg.height_bound)
         cycle = Cycle(t, s, [Component(RationalMap.identity(), b, 1)])
-        literal = preimage_locus(b, s.plus.support()).is_empty
+        if b.is_constant:
+            literal = b.value not in s.plus.support()
+        else:
+            literal = preimage_locus(b, s.plus.support()).is_empty
         agree = bool(is_admissible(cycle)) == literal
         rec.check(
             agree,

@@ -142,6 +142,19 @@ class TestMalformedInputExitsTwo:
         assert out.returncode == 2
         assert "Traceback" not in out.stdout + out.stderr
 
+    def test_sign_without_a_term(self, files):
+        triple = files("t.json", json.dumps({"plus": "P(1) +", "minus": "-"}))
+        out = run_cli("check", "class", "--triple", triple)
+        assert out.returncode == 2
+        assert "ParseError: a sign must be followed by a term" in out.stderr
+        assert "Traceback" not in out.stdout + out.stderr
+
+    @pytest.mark.parametrize("flag", ["--source", "--target"])
+    def test_empty_end_override_is_read(self, files, capsys, flag):
+        cycle = files("id.json", ID_CYCLE)
+        assert main(["check", "admissible", "--cycle", cycle, flag, ""]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 SQ_CYCLE = (
     '{"source": {"total": {"kind": "open", "boundary": ["P(inf)"]}, "plus": "0", "minus": "0"},'

@@ -213,7 +213,7 @@ class TestDivisorText:
         assert d.multiplicity(ClosedPoint.rational(0)) == -3
 
     def test_zero(self):
-        assert parse_divisor("0").is_zero
+        assert parse_divisor("0").is_zero and parse_divisor("").is_zero and parse_divisor("  ").is_zero
         assert divisor_to_text(Divisor.zero()) == "0"
 
     def test_bare_point(self):
@@ -233,6 +233,11 @@ class TestDivisorText:
             parse_divisor("(2)*P(1)")
         with pytest.raises(ParseError, match="point literal must look like P"):
             parse_divisor("2*x")
+
+    @pytest.mark.parametrize("text", ["-", "+ + +", "P(1) +", "3*P(1) - ", "P(0) - + "])
+    def test_sign_without_a_term(self, text):
+        with pytest.raises(ParseError, match="a sign must be followed by a term"):
+            parse_divisor(text)
 
     def test_round_trip(self):
         d = Divisor(
