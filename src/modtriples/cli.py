@@ -43,9 +43,11 @@ from .suites import SuiteConfig, run_suite
 from .triples import classify, dual, pullback_triple, separation, shift_morphism
 
 
-def _read(path: str) -> str:
+def _read(flag: str, path: str) -> str:
     if path == "-":
         return sys.stdin.read()
+    if not path:  # Path("") is the working directory
+        raise OSError(f"the path given to {flag} is empty")
     return Path(path).read_text(encoding="utf-8")
 
 
@@ -194,9 +196,9 @@ def _options(spec: str):
 
 def _inputs(args, spec: str) -> list:
     values = []
-    for _, dest, kind, _ in _options(spec):
+    for flag, dest, kind, _ in _options(spec):
         value = getattr(args, dest)  # None only when an optional flag is left out; "" is read as a path
-        values.append(formats.parse_input(value if kind == "divisor" else _read(value), kind)
+        values.append(formats.parse_input(value if kind == "divisor" else _read(flag, value), kind)
                       if value is not None else None)
     if spec == _ENDS:
         cycle, source, target = values

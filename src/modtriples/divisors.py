@@ -40,6 +40,10 @@ from .ratpoly import (
     is_irreducible,
 )
 
+# The largest degree of a fiber form, deg f * deg P, and of a composite map, so
+# that input inside the parser's caps cannot ask for an unbounded product.
+MAX_FIBER_DEGREE = 1024
+
 
 class ClosedPoint:
     """A closed point of P^1_Q: an irreducible polynomial, or infinity.
@@ -447,6 +451,9 @@ def compose_maps(outer: RationalMap, inner: RationalMap) -> RationalMap:
         return outer
     if outer.is_identity:
         return inner
+    if outer.degree * inner.degree > MAX_FIBER_DEGREE:
+        raise DegenerateInput(
+            f"composite of degree {outer.degree * inner.degree} above the cap {MAX_FIBER_DEGREE}")
     # outer's homogenized forms at (inner.num, inner.den); neither vanishes,
     # since inner is nonconstant and so its image is infinite
     d, nz, dz = outer.degree, inner.nz, inner.dz
@@ -520,6 +527,8 @@ def _fiber_cached(f: RationalMap, point: ClosedPoint) -> _Fiber:
     if f.is_constant:  # an exception is not cached: no record
         raise DegenerateInput("no fibers under a constant map")
     d = f.degree
+    if d * point.degree > MAX_FIBER_DEGREE:  # checked before the fiber form is built
+        raise DegenerateInput(f"fiber of degree {d * point.degree} above the cap {MAX_FIBER_DEGREE}")
     if point.is_infinity:
         return _Fiber(tuple(_zprimitive(f.dz)), d + 1 - len(f.dz), d == 1)
     # the point's integer form at (num, den): a constant factor is harmless

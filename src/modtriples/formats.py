@@ -1,13 +1,15 @@
 """Text and JSON formats for every object type.
 
-Polynomial text: variable x, integer and a/b rational literals, and
-the operators + - * ^ with parentheses, e.g. ``x^2 - 1`` or
-``(1/2)*x^3 + 2*x``.  Emission is always canonical descending-degree
+Polynomial text: variable x, integer (ASCII digits) and a/b rational
+literals, and the operators + - * ^ with parentheses, e.g. ``x^2 - 1``
+or ``(1/2)*x^3 + 2*x``.  Emission is always canonical descending-degree
 form, and parse(print(obj)) is the identity on every object.
 
-Point literals: ``P(inf)``, ``P(x^2+1)``, and the shorthand ``P(3)``
-for ``P(x-3)``.  Divisor literals are signed sums of multiples of
-point literals, ``0`` for the zero divisor.
+Points and divisors are read by three more rules over the same tokens:
+  divisor := [sign] term {sign term}   (blank text or "0" is the zero divisor)
+  term    := [INT "*"] point
+  point   := "P(" ("inf" | poly) ")"   (the shorthand P(3) is P(x-3))
+so ``2*P(inf) - P(x^2+1)``; each term takes one sign, and ``P(`` is one token.
 
 JSON schemas (all rationals travel as strings):
   triple   {"total": {"kind": "proper"} | {"kind": "open", "boundary": [...]},
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -56,43 +59,56 @@ def _string(value: Any) -> str:
     return value
 
 
+# One token is an ASCII integer, the point opener "P(", "inf", or any other
+# character that is not whitespace; whitespace only separates tokens.
+_TOKEN = re.compile(r"[0-9]+|P\(|inf|\S")
+
+
+def _is_int(token: str) -> bool:
+    # only [0-9]+ makes an ASCII digit token; a lone "²" or "٣" is not an integer
+    return token.isascii() and token.isdigit()
+
+
 class _Tokens:
+    """The text split by one pass of _TOKEN into (offset, token) pairs, read one at a
+    time, so a hostile text costs no more than the tokens read before its first error;
+    columns count from the start of the text."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.matches = _TOKEN.finditer(text)
         self.depth = 0
+        self.advance()
+
+    def advance(self) -> None:
+        m = next(self.matches, None)
+        self.offset, self.token = (m.start(), m.group()) if m else (len(self.text), "")
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, column=self.pos + 1)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return ParseError(message, column=self.offset + 1)
 
     def take(self, expected: str) -> None:
-        if self.peek() != expected:
+        if self.token != expected:
             raise self.error(f"expected {expected!r}")
-        self.pos += 1
+        self.advance()
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
+        if not _is_int(self.token):
             raise self.error("expected an integer")
         try:
-            return int(self.text[start : self.pos])
+            value = int(self.token)
         except ValueError as exc:  # longer than the interpreter's digit limit
             raise self.error("integer literal too long") from exc
+        self.advance()
+        return value
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+
+def _parse_whole(text: str, rule: Callable[[_Tokens], Any], what: str):
+    tk = _Tokens(_string(text))
+    out = rule(tk)
+    if tk.token:
+        raise tk.error(f"trailing input after {what}")
+    return out
 
 
 # The parser works on ascending coefficient lists, trimmed like Poly's
@@ -101,17 +117,14 @@ class _Tokens:
 
 
 def _parse_expr(tk: _Tokens) -> list:
-    negate = False
-    if tk.peek() == "-":
-        tk.take("-")
-        negate = True
-    elif tk.peek() == "+":
-        tk.take("+")
+    sign = tk.token
+    if sign in ("+", "-"):
+        tk.take(sign)
     acc = _parse_term(tk)
-    if negate:
+    if sign == "-":
         acc = [-c for c in acc]
-    while tk.peek() in ("+", "-"):
-        op = tk.peek()
+    while tk.token in ("+", "-"):
+        op = tk.token
         tk.take(op)
         term = _parse_term(tk)
         acc = _zadd(acc, term) if op == "+" else _zsub(acc, term)
@@ -120,7 +133,7 @@ def _parse_expr(tk: _Tokens) -> list:
 
 def _parse_term(tk: _Tokens) -> list:
     acc = _parse_power(tk)
-    while tk.peek() == "*":
+    while tk.token == "*":
         tk.take("*")
         rhs = _parse_power(tk)
         if acc and rhs and len(acc) + len(rhs) - 2 > MAX_DEGREE:
@@ -131,7 +144,7 @@ def _parse_term(tk: _Tokens) -> list:
 
 def _parse_power(tk: _Tokens) -> list:
     base = _parse_atom(tk)
-    if tk.peek() == "^":
+    if tk.token == "^":
         tk.take("^")
         exp = tk.integer()
         if exp > MAX_DEGREE:
@@ -147,7 +160,7 @@ def _parse_power(tk: _Tokens) -> list:
 
 
 def _parse_atom(tk: _Tokens) -> list:
-    ch = tk.peek()
+    ch = tk.token
     if ch == "(":
         tk.take("(")
         tk.depth += 1
@@ -160,9 +173,9 @@ def _parse_atom(tk: _Tokens) -> list:
     if ch == "x":
         tk.take("x")
         return [0, 1]
-    if ch.isdigit():
+    if _is_int(ch):
         num = tk.integer()
-        if tk.peek() == "/":
+        if tk.token == "/":
             tk.take("/")
             den = tk.integer()
             if den == 0:
@@ -173,11 +186,7 @@ def _parse_atom(tk: _Tokens) -> list:
 
 
 def parse_poly(text: str) -> Poly:
-    tk = _Tokens(_string(text))
-    coeffs = _parse_expr(tk)
-    if not tk.at_end():
-        raise tk.error("trailing input after polynomial")
-    return Poly(coeffs)
+    return Poly(_parse_whole(text, _parse_expr, "polynomial"))
 
 
 def _coeffs_to_text(coeffs, lc: int = 1) -> str:
@@ -213,14 +222,16 @@ def poly_to_text(p: Poly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def parse_point(text: str) -> ClosedPoint:
-    text = _string(text).strip()
-    if not (text.startswith("P(") and text.endswith(")")):
-        raise ParseError(f"point literal must look like P(...): {text!r}")
-    inner = text[2:-1].strip()
-    if inner == "inf":
+def _parse_point(tk: _Tokens) -> ClosedPoint:
+    if tk.token != "P(":
+        raise tk.error("point literal must look like P(...)")
+    tk.take("P(")
+    if tk.token == "inf":
+        tk.take("inf")
+        tk.take(")")
         return INFINITY
-    poly = parse_poly(inner)
+    poly = Poly(_parse_expr(tk))
+    tk.take(")")
     # shorthand: P(c) is the rational point x = c
     cs = (-poly[0], 1) if poly.is_constant else poly.coeffs
     lc = cs[-1]
@@ -234,61 +245,37 @@ def parse_point(text: str) -> ClosedPoint:
     return ClosedPoint.finite(poly)
 
 
+def parse_point(text: str) -> ClosedPoint:
+    return _parse_whole(text, _parse_point, "point")
+
+
 def point_to_text(p: ClosedPoint) -> str:
     if p.is_infinity:
         return "P(inf)"
     return f"P({_coeffs_to_text(p.ints, p.ints[-1])})"
 
 
-def _split_signed_terms(text: str) -> list[tuple[int, str]]:
-    terms = []
-    depth = 0
-    sign = 1
-    start = None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses", column=i + 1)
-        elif depth == 0 and ch in "+-" and start is not None:
-            terms.append((sign, text[start:i]))
-            sign = 1 if ch == "+" else -1
-            start = None
-            continue
-        if start is None and not ch.isspace():
-            if ch == "+" and depth == 0:
-                continue
-            if ch == "-" and depth == 0:
-                sign = -sign
-                continue
-            start = i
-    if depth:
-        raise ParseError("unbalanced parentheses")
-    if start is None:  # the text is not blank, so it ends in a sign
-        raise ParseError("a sign must be followed by a term", column=len(text))
-    terms.append((sign, text[start:]))
-    return terms
+def _parse_divisor(tk: _Tokens) -> Divisor:
+    # divisor := [sign] term {sign term}; term := [INT "*"] point
+    entries = []
+    while not entries or tk.token in ("+", "-"):
+        sign = tk.token
+        if sign in ("+", "-"):
+            tk.take(sign)
+            if tk.token in ("", "+", "-"):
+                raise tk.error("a sign must be followed by a term")
+        mult = 1
+        if _is_int(tk.token):
+            mult = tk.integer()
+            tk.take("*")
+        entries.append((_parse_point(tk), -mult if sign == "-" else mult))
+    return Divisor(entries)
 
 
 def parse_divisor(text: str) -> Divisor:
-    text = _string(text).strip()
-    if text == "0" or not text:
+    if _string(text).strip() in ("", "0"):  # blank text and "0" are the zero divisor
         return Divisor.zero()
-    entries = []
-    for sign, chunk in _split_signed_terms(text):
-        chunk = chunk.strip()
-        mult = 1
-        mult_text, star, rest = chunk.partition("*")
-        if star and rest.lstrip().startswith("P("):  # a multiple n*P(...), spaces allowed around *
-            try:
-                mult = int(mult_text.strip())
-            except ValueError as exc:
-                raise ParseError(f"bad multiplicity {mult_text!r}") from exc
-            chunk = rest.strip()
-        entries.append((parse_point(chunk), sign * mult))
-    return Divisor(entries)
+    return _parse_whole(text, _parse_divisor, "divisor")
 
 
 def divisor_to_text(d: Divisor) -> str:

@@ -53,11 +53,10 @@ class Poly:
     coefficient lists (the ``_z*`` helpers below).  Coefficients are
     stored ascending; the highest stored index is nonzero unless the
     polynomial is zero (empty tuple).  Instances are immutable and
-    hashable, so they can live in divisor supports; the hash,
-    ``hash(coeffs)``, is computed on first use and kept.
+    hashable, with the hash of their coefficient tuple.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [Fraction(c) for c in coeffs]
@@ -133,24 +132,10 @@ class Poly:
     # -- comparison / display -------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Poly):
-            return False
-        try:  # hashes that are already cached settle most inequalities
-            if self._hash != other._hash:
-                return False
-        except AttributeError:
-            pass
-        return self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self.coeffs)
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash(self.coeffs)
 
     def sort_key(self) -> tuple:
         # degree first, then coefficients from the top down; integral ones

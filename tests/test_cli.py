@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -149,11 +150,35 @@ class TestMalformedInputExitsTwo:
         assert "ParseError: a sign must be followed by a term" in out.stderr
         assert "Traceback" not in out.stdout + out.stderr
 
+    def test_fiber_degree_cap(self, files, capsys):
+        # b = x^d + 2x + 5 pulls P(x^d - 2) back to a fiber of degree d^2, and two graph
+        # cycles of degree d compose to degree d^2: above MAX_FIBER_DEGREE is an error
+        def cycle(name: str, d: int, target_plus: str) -> str:
+            return files(f"{name}{d}.json", json.dumps({
+                "source": {"plus": "0", "minus": "0"},
+                "target": {"plus": target_plus, "minus": "0"},
+                "components": [{"a": {"num": "x"}, "b": {"num": f"x^{d} + 2*x + 5"}, "mult": 1}],
+            }))
+
+        assert main(["check", "position", "--cycle", cycle("position", 32, "1*P(x^32 - 2)")]) == 0
+        graph = cycle("graph", 64, "0")
+        for argv in (["check", "position", "--cycle", cycle("position", 64, "1*P(x^64 - 2)")],
+                     ["compose", "--first", graph, "--second", graph]):
+            capsys.readouterr()
+            started = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - started < 2.0
+            assert "of degree 4096 above the cap 1024" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--source", "--target"])
     def test_empty_end_override_is_read(self, files, capsys, flag):
         cycle = files("id.json", ID_CYCLE)
         assert main(["check", "admissible", "--cycle", cycle, flag, ""]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == f"error: the path given to {flag} is empty\n"
+
+    def test_empty_path_names_its_flag(self, capsys):
+        assert main(["check", "admissible", "--cycle", ""]) == 2
+        assert capsys.readouterr().err == "error: the path given to --cycle is empty\n"
 
 
 SQ_CYCLE = (

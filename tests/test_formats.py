@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from modtriples.formats import (
     triple_from_json,
     triple_to_json,
 )
+from modtriples.suites import point_pool
 from polyref import Poly, ref
 
 X = Poly.x()
@@ -142,6 +144,13 @@ class TestPolyTextCaps:
         with pytest.raises(ParseError):
             parse_poly("(" * 3000 + "x" + ")" * 3000)
 
+    def test_error_stops_the_reading(self):
+        # tokens are read one at a time, so the nesting cap stops a long text early
+        started = time.perf_counter()
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_poly("(" * 1_000_000)
+        assert time.perf_counter() - started < 0.3
+
     def test_exponent_at_the_cap(self):
         assert parse_poly(f"x^{MAX_DEGREE}").degree == MAX_DEGREE
         with pytest.raises(ParseError, match="exponent"):
@@ -229,15 +238,32 @@ class TestDivisorText:
 
     def test_star_outside_a_multiple(self):
         assert parse_divisor("P(2*x)") == Divisor.of(ClosedPoint.rational(0))
-        with pytest.raises(ParseError, match=r"bad multiplicity '\(2\)'"):
+        with pytest.raises(ParseError, match="point literal must look like P") as err:
             parse_divisor("(2)*P(1)")
+        assert err.value.column == 1
         with pytest.raises(ParseError, match="point literal must look like P"):
             parse_divisor("2*x")
 
-    @pytest.mark.parametrize("text", ["-", "+ + +", "P(1) +", "3*P(1) - ", "P(0) - + "])
+    @pytest.mark.parametrize(
+        "text", ["-", "+ + +", "P(1) +", "3*P(1) - ", "P(0) - + ", "- - P(1)", "--P(1)", "P(1) + - P(2)"]
+    )
     def test_sign_without_a_term(self, text):
         with pytest.raises(ParseError, match="a sign must be followed by a term"):
             parse_divisor(text)
+
+    @pytest.mark.parametrize(
+        "text", ["P(\u0663)", "\u0663*P(1)", "1_0*P(1)", "P(1)P(2)", "P(inf) P(1)", "P (1)", "P(x^\u00b2)"]
+    )
+    def test_outside_the_grammar(self, text):
+        # integers are ASCII digits only, terms need a sign between them, and P( is one token
+        with pytest.raises(ParseError) as err:
+            parse_divisor(text)
+        assert "too long" not in str(err.value)
+
+    def test_error_column_counts_from_the_whole_literal(self):
+        with pytest.raises(ParseError) as err:
+            parse_divisor("P(0) + P(x^2 + @)")
+        assert err.value.column == 16
 
     def test_round_trip(self):
         d = Divisor(
@@ -248,6 +274,50 @@ class TestDivisorText:
             ]
         )
         assert parse_divisor(divisor_to_text(d)) == d
+
+
+def random_divisor_text(rng: random.Random) -> tuple[str, Divisor]:
+    """Random divisor text over the suites' point pool in every accepted
+    spelling, with the divisor it denotes."""
+    pool = point_pool()
+
+    def space() -> str:
+        return rng.choice(["", " ", "  "])
+
+    def point_text(p: ClosedPoint) -> str:
+        if p.is_infinity:
+            return rng.choice(["P(inf)", f"P({space()}inf{space()})"])
+        forms = [point_to_text(p)]
+        if p.degree == 1:  # the shorthand P(c)
+            forms.append(f"P({p.rational_value()})")
+        k = rng.choice([-3, -2, -1, 2, 5])  # a non-monic polynomial of the same point
+        forms.append(f"P({space()}{poly_to_text(Poly([k * c for c in p.ints]))}{space()})")
+        text = rng.choice(forms)
+        return text.replace(" ", "") if rng.random() < 0.3 else text
+
+    entries, parts = [], []
+    for i in range(rng.randint(1, 5)):
+        p, m = rng.choice(pool), rng.choice([-12, -3, -2, -1, 1, 2, 3, 40])
+        entries.append((p, m))
+        body = point_text(p)
+        if abs(m) != 1 or rng.random() < 0.5:
+            body = f"{abs(m)}{space()}*{space()}{body}"
+        if m < 0:
+            sign = "-"
+        else:
+            sign = "+" if i or rng.random() < 0.3 else ""  # a leading + is optional
+        parts.append(f"{sign}{space()}{body}" if sign else body)
+    return space() + space().join(parts) + space(), Divisor(entries)
+
+
+class TestDivisorSpellings:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_spelling_parses_back(self, seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            text, divisor = random_divisor_text(rng)
+            assert parse_divisor(text) == divisor, text
+            assert parse_divisor(divisor_to_text(divisor)) == divisor
 
 
 class TestJson:
