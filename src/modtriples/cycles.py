@@ -24,8 +24,6 @@ from .divisors import (
     RationalMap,
     compose_maps,
     locus_subset,
-    locus_subtract,
-    locus_union,
     points_locus,
     preimage_locus,
     pullback_divisor,
@@ -369,11 +367,9 @@ def position_classify(alpha: Cycle) -> tuple[PositionVerdict, ...]:
             hit_t = preimage_locus(comp.b, t.minus.support())
             over_s_minus = preimage_locus(comp.a, s.minus.support())
             escape = preimage_locus(comp.a, s.total.boundary)
-            excellent = locus_subset(locus_subtract(hit_t, escape), over_s_minus)
-            outside = locus_union(
-                preimage_locus(comp.a, s.bad_set()), preimage_locus(comp.b, t.bad_set())
-            )
-            very_good = locus_subset(locus_subtract(hit_t, outside), over_s_minus)
+            excellent = locus_subset(hit_t, escape, over_s_minus)
+            bad_a, bad_b = preimage_locus(comp.a, s.bad_set()), preimage_locus(comp.b, t.bad_set())
+            very_good = locus_subset(hit_t, bad_a, bad_b, over_s_minus)
         out.append(
             PositionVerdict(component=comp, bad=bad, very_good=very_good, excellent=excellent)
         )

@@ -687,10 +687,10 @@ class Locus:
         return len(self.poly) == 1 and not self.has_infinity
 
 
-# Products and quotients of primitive polynomials with positive leading
-# coefficients are again such (Gauss's lemma), so the locus algebra below
-# needs no normalization, and a primitive a divides an integral b over Q
-# exactly when it divides it over Z.
+# Products of primitive polynomials with positive leading coefficients are
+# again such (Gauss's lemma), so loci need no normalization, and a primitive
+# a divides an integral b over Q exactly when it divides it over Z: inclusion
+# in a union is one exact division in Z[x], with no gcd.
 
 
 def points_locus(points: Iterable[ClosedPoint]) -> Locus:
@@ -720,29 +720,15 @@ def preimage_locus(f: RationalMap, points: Iterable[ClosedPoint]) -> Locus:
     return Locus(tuple(acc), inf)
 
 
-def locus_subtract(a: Locus, b: Locus) -> Locus:
-    poly = a.poly
-    if len(poly) > 1 and len(b.poly) > 1:
-        g = _zgcd(poly, b.poly)
-        if len(g) > 1:
-            poly = tuple(_zdiv_exact(poly, g))
-    return Locus(poly, a.has_infinity and not b.has_infinity)
-
-
-def locus_union(a: Locus, b: Locus) -> Locus:
-    poly = a.poly
-    other = b.poly
-    if len(poly) == 1:
-        poly = other
-    elif len(other) > 1:
-        poly = tuple(_zmul(poly, _zdiv_exact(other, _zgcd(poly, other))))
-    return Locus(poly, a.has_infinity or b.has_infinity)
-
-
-def locus_subset(a: Locus, b: Locus) -> bool:
-    if a.has_infinity and not b.has_infinity:
+def locus_subset(a: Locus, *covers: Locus) -> bool:
+    """a lies in the union of the covers: a.poly is squarefree, so exactly when it
+    divides the product of theirs, and infinity must lie in some cover."""
+    if a.has_infinity and not any(c.has_infinity for c in covers):
         return False
-    return _zdiv_exact(b.poly, a.poly) is not None
+    prod = [1]
+    for c in covers:
+        prod = _zmul(prod, c.poly)
+    return _zdiv_exact(prod, a.poly) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -309,16 +309,20 @@ def _zderiv(a: list[int]) -> list[int]:
 
 
 def _zyun(f: list[int]) -> list[tuple[int, list[int]]]:
-    """Yun's squarefree decomposition of a primitive f of degree >= 1.
+    """Yun's squarefree decomposition of a primitive f, deg f >= 1 and lc(f) > 0.
 
     Returns (multiplicity, part) pairs with increasing multiplicities and
-    f = ±prod(part^multiplicity); the parts are primitive, squarefree,
+    f = prod(part^multiplicity); the parts are primitive, squarefree,
     pairwise coprime and have positive leading coefficients.  Every step
     divides b and d by the same polynomial, so the ratio d / b that drives
     the algorithm ignores integer contents, and every quotient is exact in
     Z[x] because the gcds are primitive (Gauss's lemma).
     """
-    df = _zderiv(f)
+    df, p = _zderiv(f), _FILTER_PRIMES[0]
+    # squarefree mod a p not dividing lc(f) means squarefree over Q: a common
+    # factor of f and f' over Z keeps its degree mod p
+    if f[-1] % p and len(_pgcd(f, df, p)) == 1:
+        return [(1, f)]
     a = _zgcd(f, df)
     b = _zdiv_exact(f, a)
     d = _zsub(_zdiv_exact(df, a), _zderiv(b))
@@ -370,10 +374,20 @@ def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd mod a prime p."""
+    """Monic gcd mod a prime p, by remainders alone: each step reduces the dividend
+    in place, builds no quotient and drops the top slots it zeroes unwritten."""
     a, b = _pmod(a, p), _pmod(b, p)
     while b:
-        a, b = b, _pdivmod(a, b, p)[1]
+        top = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        for i in range(len(a) - 1, top - 1, -1):
+            c = a[i] * inv % p
+            if c:
+                off = i - top
+                for j in range(top):
+                    a[off + j] = (a[off + j] - c * b[j]) % p
+        del a[top:]
+        a, b = b, _trim(a)
     return _pmonic(a, p)
 
 

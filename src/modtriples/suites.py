@@ -37,8 +37,6 @@ from .divisors import (
     PullbackComparison,
     RationalMap,
     locus_subset,
-    locus_subtract,
-    locus_union,
     min_divisor,
     point_image,
     preimage_locus,
@@ -357,11 +355,8 @@ def minus_transfer_holds(comp: Component, s: ModulusTriple, t: ModulusTriple) ->
         off_t = Locus()  # the constant sits in the interior
     if not cmp.effective():
         return False
-    lhs = locus_subtract(
-        preimage_locus(comp.a, s.minus.support()),
-        locus_union(preimage_locus(comp.a, s.bad_set()), off_t),
-    )
-    return locus_subset(lhs, hit_minus)
+    over_s_minus = preimage_locus(comp.a, s.minus.support())
+    return locus_subset(over_s_minus, preimage_locus(comp.a, s.bad_set()), off_t, hit_minus)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ import pytest
 from modtriples import (
     INFINITY,
     ClosedPoint,
+    CurveSpace,
     DegenerateInput,
     Divisor,
+    ModulusTriple,
     NotEffective,
     RationalMap,
     canonical_split,
@@ -29,12 +31,11 @@ from modtriples.divisors import (
     _fiber_cached,
     fiber_data,
     locus_subset,
-    locus_subtract,
-    locus_union,
     points_locus,
     preimage_locus,
 )
-from modtriples import divisors, ratpoly
+from modtriples import divisors, ratpoly, suites
+from modtriples.cycles import Component, Cycle, compose, position_classify
 from modtriples.ratpoly import factor, poly_gcd
 from polyref import Poly, ref, squarefree_part
 
@@ -50,6 +51,23 @@ SQ = RationalMap.polynomial(X**2)
 
 def rmap(num, den=ONE) -> RationalMap:
     return RationalMap.from_fraction(num, den)
+
+
+def derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+# the earlier locus algebra over Q, on (monic polynomial, has infinity) pairs
+def ref_subtract(a, b):
+    return a[0] // poly_gcd(a[0], b[0]), a[1] and not b[1]
+
+
+def ref_union(a, b):
+    return (a[0] * (b[0] // poly_gcd(a[0], b[0]))).monic(), a[1] or b[1]
+
+
+def ref_subset(a, b) -> bool:
+    return a[0].divides(b[0]) and (b[1] or not a[1])
 
 
 def random_point_polys(rng: random.Random, count: int, degrees=(1, 4)) -> list[Poly]:
@@ -521,22 +539,117 @@ class TestIntegerLoci:
         rng = random.Random(63)
         empty = Locus()
         for _ in range(300):
-            a, b = self.random_locus(rng), self.random_locus(rng)
-            pa, pb = self.monic(a), self.monic(b)
-            g = poly_gcd(pa, pb)
+            a, b, c = (self.random_locus(rng) for _ in range(3))
+            pa, pb, pc = (self.monic(x) for x in (a, b, c))
+            # the one-division test needs squarefree locus polynomials
+            for p in (pa, pb, pc):
+                assert poly_gcd(p, derivative(p)) == ONE
+            # a in b u c: nothing of a is left after taking out b, then c
+            rest = pa // poly_gcd(pa, pb)
+            rest = rest // poly_gcd(rest, pc)
+            at_infinity = b.has_infinity or c.has_infinity or not a.has_infinity
+            assert locus_subset(a, b, c) == (rest.is_constant and at_infinity)
+            assert locus_subset(a, c, b) == locus_subset(a, b, c)
             subset = pa.divides(pb) and (b.has_infinity or not a.has_infinity)
             assert locus_subset(a, b) == subset
-            diff = locus_subtract(a, b)
-            assert self.monic(diff) == (pa // g).monic()
-            assert diff.has_infinity == (a.has_infinity and not b.has_infinity)
-            union = locus_union(a, b)
-            assert self.monic(union) == (pa * (pb // g)).monic()
-            assert union.has_infinity == (a.has_infinity or b.has_infinity)
-            # the laws the position checks rely on
-            assert locus_subset(a, union) and locus_subset(b, union)
-            assert locus_subset(diff, a) and locus_subset(a, locus_union(diff, b))
-            assert locus_subset(empty, a)
-            assert locus_subtract(a, empty) == a and locus_union(a, empty) == a
+            # the laws the position checks rely on, with a - b and a u b as covers
+            diff = Locus(
+                tuple((pa // poly_gcd(pa, pb)).int_primitive()[1]),
+                a.has_infinity and not b.has_infinity,
+            )
+            assert locus_subset(a, a, b) and locus_subset(b, a, b)
+            assert locus_subset(diff, a) and locus_subset(a, diff, b)
+            assert locus_subset(empty, a) and locus_subset(empty)
+            assert locus_subset(a, b, empty) == subset and locus_subset(a, a, empty)
+            assert locus_subset(a) == a.is_empty
+
+    @classmethod
+    def reference_positions(cls, alpha) -> list[tuple[bool, bool]]:
+        """(very good, excellent) of each component with a nonconstant second leg, by the
+        earlier formula: subtract what may escape, then one subset test."""
+        s, t = alpha.source, alpha.target
+        pre = cls.reference_preimage
+        out = []
+        for comp in alpha.components:
+            if comp.b.is_constant:
+                continue
+            hit_t = pre(comp.b, list(t.minus.support()))
+            over_s_minus = pre(comp.a, list(s.minus.support()))
+            escape = pre(comp.a, list(s.total.boundary))
+            outside = ref_union(pre(comp.a, list(s.bad_set())), pre(comp.b, list(t.bad_set())))
+            out.append((
+                ref_subset(ref_subtract(hit_t, outside), over_s_minus),
+                ref_subset(ref_subtract(hit_t, escape), over_s_minus),
+            ))
+        return out
+
+    @classmethod
+    def reference_minus_transfer(cls, comp, s, t) -> bool:
+        """suites.minus_transfer_holds with the earlier subtract-then-subset locus step."""
+        if comp.b.is_constant:
+            if comp.b.value in t.minus.support() or not t.in_interior(comp.b.value):
+                return True
+        cmp = PullbackComparison()
+        cmp.add_pullback(comp.a, s.minus, -1)
+        cmp.add_escape_map(comp.a, s.bad_set())
+        hit_minus = off_t = (ONE, False)
+        if not comp.b.is_constant:
+            cmp.add_pullback(comp.b, t.minus, +1)
+            cmp.add_escape_map(comp.b, t.bad_set())
+            hit_minus = cls.reference_preimage(comp.b, list(t.minus.support()))
+            off_t = cls.reference_preimage(comp.b, list(t.bad_set()))
+        if not cmp.effective():
+            return False
+        lhs = ref_subtract(
+            cls.reference_preimage(comp.a, list(s.minus.support())),
+            ref_union(cls.reference_preimage(comp.a, list(s.bad_set())), off_t),
+        )
+        return ref_subset(lhs, hit_minus)
+
+    def test_positions_and_transfer_match_subtract_then_subset(self):
+        rng = random.Random(64)
+        cfg = suites.SuiteConfig(seed=64, samples=1, degree_bound=3)
+        pool = suites.point_pool()
+        cycles = []
+        for _ in range(40):
+            alpha, beta = suites.admissible_pair(rng, cfg)
+            cycles += [alpha, beta, compose(alpha, beta)]
+            trip = suites._never_very_good(rng, cfg, pool)
+            if trip is not None:
+                cycles += [trip[0], trip[1], compose(*trip)]
+
+        def random_ends() -> tuple[ModulusTriple, ModulusTriple]:
+            # now and then a removed boundary point of the source that |T-| holds too,
+            # so that a component (a, a) escapes through it
+            s, t = suites.random_triple(rng, pool), suites.random_triple(rng, pool)
+            rest = [p for p in pool if p not in s.plus.support() | s.minus.support()]
+            if rest and rng.random() < 0.5:
+                p = rng.choice(rest)
+                s = ModulusTriple(CurveSpace.open([p]), s.plus, s.minus)
+                t = ModulusTriple.proper(t.plus, t.minus + Divisor([(p, 1)]))
+            return s, t
+
+        seen = set()
+        for cycle in cycles:
+            # the cycle's own ends, and random ones, under which the laws fail
+            diagonal = [Component(c.a, c.a, 1) for c in cycle.components]
+            for s, t, comps in (
+                (cycle.source, cycle.target, cycle.components),
+                (*random_ends(), list(cycle.components) + diagonal),
+            ):
+                moved = Cycle(s, t, comps)
+                verdicts = [v for v in position_classify(moved) if not v.component.b.is_constant]
+                got = [(v.very_good, v.excellent) for v in verdicts]
+                assert got == self.reference_positions(moved)
+                seen.update(("position",) + g for g in got)
+                for comp in moved.components:
+                    holds = suites.minus_transfer_holds(comp, s, t)
+                    assert holds == self.reference_minus_transfer(comp, s, t)
+                    seen.add(("transfer", holds))
+        assert seen >= {
+            ("position", False, False), ("position", True, False), ("position", True, True),
+            ("transfer", False), ("transfer", True),
+        }
 
     def test_compose_matches_fraction_evaluation(self):
         rng = random.Random(65)

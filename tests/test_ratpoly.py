@@ -21,7 +21,19 @@ from modtriples import (
 )
 from modtriples import oracles, ratpoly
 from modtriples.oracles import OracleBudgetExceeded, verify_irreducible
-from modtriples.ratpoly import _pddf, _pdivmod, _pgcd, _pmonic, _ppowmod, _zderiv, _zhomog, _zsub
+from modtriples.ratpoly import (
+    _pddf,
+    _pdivmod,
+    _pgcd,
+    _pmod,
+    _pmonic,
+    _ppowmod,
+    _zderiv,
+    _zhomog,
+    _zmul,
+    _zsub,
+    _zyun,
+)
 from polyref import Poly, ref, squarefree_part
 
 X = Poly.x()
@@ -86,6 +98,36 @@ class TestGcd:
             scaled = poly_gcd(a * extra, b * extra)
             if not b.is_zero or not a.is_zero:
                 assert scaled == (g * extra).monic()
+
+
+def _reference_pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd mod p by the plain remainder loop, building every quotient."""
+    a, b = _pmod(a, p), _pmod(b, p)
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _pmonic(a, p)
+
+
+class TestModularGcd:
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 101, 65537, *ratpoly._FILTER_PRIMES])
+    def test_matches_quotient_loop(self, p):
+        rng = random.Random(p)
+        for n in range(41):
+            for _ in range(4):
+                # unreduced and negative coefficients; the top ones may vanish mod p
+                a = [rng.randint(-3 * p, 3 * p) for _ in range(n)]
+                b = [rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(0, 40))]
+                if rng.random() < 0.3:
+                    a += [p * rng.randint(-2, 2)]
+                if a and b and rng.random() < 0.5:  # a shared factor, so the gcd is not always 1
+                    common = [rng.randint(-p, p) for _ in range(rng.randint(1, 6))] + [1]
+                    a, b = _zmul(a, common), _zmul(b, common)
+                a0, b0 = list(a), list(b)
+                assert _pgcd(a, b, p) == _reference_pgcd(a, b, p)
+                assert _pgcd(b, a, p) == _reference_pgcd(b, a, p)  # shorter first argument
+                assert _pgcd(a, [], p) == _reference_pgcd(a, [], p) == _pmonic(a, p)
+                assert _pgcd([], a, p) == _reference_pgcd([], a, p)
+                assert (a, b) == (a0, b0)  # the inputs are left alone
 
 
 class TestSquarefree:
@@ -187,6 +229,34 @@ class TestYun:
         p = (X**30 - ONE) ** 4
         assert p.degree == 120
         self.check(p, Fraction(1), {cyclotomic(d): 4 for d in (1, 2, 3, 5, 6, 10, 15, 30)})
+
+
+class TestYunShortcut:
+    """Yun returns a squarefree f at once when f is squarefree mod the test prime P;
+    anything else runs the full loop, whose gcds over Z are counted here."""
+
+    P = ratpoly._FILTER_PRIMES[0]
+
+    @pytest.mark.parametrize(
+        "f,expected,loop",
+        [
+            ([-2, 0, 1], [(1, [-2, 0, 1])], False),
+            ([6, -5, 1], [(1, [6, -5, 1])], False),
+            ([3, 7], [(1, [3, 7])], False),
+            # x^2 - P is squarefree over Q but x^2 mod P
+            ([-P, 0, 1], [(1, [-P, 0, 1])], True),
+            # P | lc(f): the test prime says nothing about f
+            ([1, 0, P], [(1, [1, 0, P])], True),
+            ([P * P, 0, -2 * P, 0, 1], [(2, [-P, 0, 1])], True),
+            ([0, 0, 1, 1], [(1, [1, 1]), (2, [0, 1])], True),
+        ],
+    )
+    def test_fallback_only_when_not_squarefree_mod_p(self, f, expected, loop, monkeypatch):
+        calls = []
+        zgcd = ratpoly._zgcd
+        monkeypatch.setattr(ratpoly, "_zgcd", lambda a, b: calls.append(1) or zgcd(a, b))
+        assert _zyun(list(f)) == expected
+        assert bool(calls) == loop
 
 
 class TestFactor:
