@@ -736,42 +736,21 @@ def locus_subset(a: Locus, *covers: Locus) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberTerm:
-    """A summand (coeff + n * slope) * div0(g) from pulling a point back along a map.
-
-    Provenance (map, point) is kept because fibers of distinct points
-    under the same map are coprime for free; fibers under the identity
-    are the point minimal polynomials and flagged irreducible.  Both
-    facts save nearly all gcd work when comparing pullback divisors.
-    """
-
-    poly: tuple[int, ...]  # primitive integer coefficients
-    coeff: int
-    map: RationalMap
-    point: ClosedPoint
-    irreducible: bool = False
-    slope: int = 0  # the multiple of the unknown level n
-
-
-def _coprime_by_provenance(a: FiberTerm, b: FiberTerm) -> bool:
-    return a.map == b.map and a.point != b.point
-
-
 class PullbackComparison:
     """Accumulates signed pullback terms and decides effectivity.
 
-    Positive verdict means: the accumulated divisor is effective away
-    from the escape locus (domain points marked as removed from the
-    open model).  Exact, and never factors anything: it refines the
-    fiber forms into a gcd-free basis instead.  Terms added by
-    ``add_growth`` are scaled by an unknown level n >= 0, and
-    ``least_level`` solves for the least n that is effective.
+    One entry per fiber, keyed by (map, point): coefficient, slope in an
+    unknown level n, an escape flag and the fiber form.  Positive verdict
+    means: the divisor is effective away from the escaped fibers (domain
+    points removed from the open model), whatever terms they carry.
+    Exact, and never factors anything: it refines the fiber forms into a
+    gcd-free basis instead.  ``add_growth`` terms are scaled by n >= 0,
+    and ``least_level`` solves for the least n that is effective.
     """
 
     def __init__(self):
-        self._terms: list[FiberTerm] = []
-        self._escapes: list[FiberTerm] = []
+        # (map, point) -> [coefficient, slope, escaped, fiber form]
+        self._fibers: dict[tuple[RationalMap, ClosedPoint], list] = {}
         self._inf_coeff = 0
         self._inf_slope = 0
         self._inf_escaped = False
@@ -784,22 +763,22 @@ class PullbackComparison:
         self._add(f, divisor, 0, 1)
 
     def _add(self, f: RationalMap, divisor: Divisor, sign: int, slope: int) -> None:
-        irr = f.is_identity
         for point, mult in divisor:
             fiber = _fiber_cached(f, point)
             self._inf_coeff += sign * mult * fiber.k
             self._inf_slope += slope * mult * fiber.k
             if len(fiber.ints) > 1:
-                self._terms.append(FiberTerm(fiber.ints, sign * mult, f, point, irr, slope * mult))
+                entry = self._fibers.setdefault((f, point), [0, 0, False, fiber.ints])
+                entry[0] += sign * mult
+                entry[1] += slope * mult
 
     def add_escape_map(self, f: RationalMap, points: Iterable[ClosedPoint]) -> None:
-        irr = f.is_identity
         for point in points:
             fiber = _fiber_cached(f, point)
             if fiber.k > 0:
                 self._inf_escaped = True
             if len(fiber.ints) > 1:
-                self._escapes.append(FiberTerm(fiber.ints, 0, f, point, irr))
+                self._fibers.setdefault((f, point), [0, 0, False, fiber.ints])[2] = True
 
     def effective(self) -> bool:
         return self.least_level() == 0
@@ -811,23 +790,18 @@ class PullbackComparison:
         e >= 0 (growth terms are effective), so n must reach ceil(-c/e)
         wherever c < 0, and no n exists where c < 0 and e = 0.
         """
-        merged: dict[tuple[RationalMap, ClosedPoint], FiberTerm] = {}
-        for t in self._terms:
-            prev = merged.get((t.map, t.point))
-            merged[t.map, t.point] = t if prev is None else FiberTerm(
-                prev.poly, prev.coeff + t.coeff, t.map, t.point, prev.irreducible, prev.slope + t.slope
-            )
-        terms = [t for t in merged.values() if t.coeff or t.slope]
         level = 0
-        if terms:
-            for beta, carriers in _gcd_free_basis(terms + self._escapes):
+        if any(c or e for c, e, _, _ in self._fibers.values()):
+            live = [(key, form) for key, (c, e, escaped, form) in self._fibers.items() if c or e or escaped]
+            for beta, carriers in _gcd_free_basis(live):
                 c = e = 0
-                for t in carriers:
-                    x = _exponent_of(beta, t.poly)
-                    if x and not (t.coeff or t.slope):
+                for key in carriers:
+                    coeff, slope, escaped, form = self._fibers[key]
+                    x = _exponent_of(beta, form)
+                    if x and escaped:
                         break  # this piece of the line was removed from the model
-                    c += t.coeff * x
-                    e += t.slope * x
+                    c += coeff * x
+                    e += slope * x
                 else:
                     if c < 0:
                         if not e:
@@ -840,24 +814,25 @@ class PullbackComparison:
         return level
 
 
-def _gcd_free_basis(items: list[FiberTerm]) -> list[tuple[list[int], list[FiberTerm]]]:
-    """Pairwise coprime integer polynomials covering all item factors.
+def _gcd_free_basis(fibers: list[tuple[tuple, tuple[int, ...]]]) -> list[tuple[list[int], list[tuple]]]:
+    """Pairwise coprime integer polynomials covering all factors of the fiber forms.
 
-    Returns (basis_poly, carriers) pairs; carriers over-approximate the
-    items the basis element can divide.  Items known coprime by
-    provenance (same map, distinct points) are never gcd-ed against
-    each other, and known-irreducible pieces reduce the gcd to a single
+    Takes (key, form) pairs, keyed by (map, point), and returns
+    (basis_poly, carriers) pairs; carriers over-approximate the keys
+    whose forms the basis element can divide.  Fibers of one map over
+    distinct points are coprime, so they are never gcd-ed against each
+    other, and fibers under the identity are the point minimal
+    polynomials, irreducible, which reduces a gcd with them to a single
     divisibility test.
     """
-    basis: list[tuple[list[int], list[FiberTerm], bool]] = []
-    queue = [(list(t.poly), [t], t.irreducible) for t in items]
+    basis: list[tuple[list[int], list, bool]] = []
+    queue = [(list(form), [key], key[0].is_identity) for key, form in fibers]
     while queue:
         q, carriers, q_irr = queue.pop()
         if len(q) <= 1:
             continue
-        placed = False
         for idx, (b, b_carriers, b_irr) in enumerate(basis):
-            if _all_coprime_by_provenance(carriers, b_carriers):
+            if all(fa == fb and pa != pb for fa, pa in carriers for fb, pb in b_carriers):
                 continue
             g = _pair_gcd(q, q_irr, b, b_irr)
             if len(g) <= 1:
@@ -867,12 +842,11 @@ def _gcd_free_basis(items: list[FiberTerm]) -> list[tuple[list[int], list[FiberT
             rest_q = _zprimitive(_zdiv_exact(q, g))
             if len(rest_b) > 1:
                 queue.append((rest_b, b_carriers, False))
-            queue.append((g, _merge_carriers(b_carriers, carriers), q_irr or b_irr))
+            queue.append((g, b_carriers + [k for k in carriers if k not in b_carriers], q_irr or b_irr))
             if len(rest_q) > 1:
                 queue.append((rest_q, carriers, False))
-            placed = True
             break
-        if not placed:
+        else:
             basis.append((q, carriers, q_irr))
     return [(b, carriers) for b, carriers, _ in basis]
 
@@ -885,18 +859,6 @@ def _pair_gcd(q: list[int], q_irr: bool, b: list[int], b_irr: bool) -> list[int]
     if b_irr:
         return b if _zdiv_exact(q, b) is not None else [1]
     return _zgcd(q, b)
-
-
-def _merge_carriers(xs: list[FiberTerm], ys: list[FiberTerm]) -> list[FiberTerm]:
-    out = list(xs)
-    for t in ys:
-        if t not in out:
-            out.append(t)
-    return out
-
-
-def _all_coprime_by_provenance(xs: list[FiberTerm], ys: list[FiberTerm]) -> bool:
-    return all(_coprime_by_provenance(a, b) for a in xs for b in ys)
 
 
 def _exponent_of(beta: list[int], poly: tuple[int, ...]) -> int:

@@ -396,9 +396,7 @@ def compactification_stage(t: ModulusTriple, n: int) -> ModulusTriple:
     return ModulusTriple.proper(t.plus + n * b_red, t.minus)
 
 
-def minimal_compactification_level(
-    t: ModulusTriple, s: ModulusTriple, alpha: Cycle, max_level: int = 10000
-) -> int:
+def minimal_compactification_level(t: ModulusTriple, s: ModulusTriple, alpha: Cycle) -> int:
     """Least n >= 1 with alpha admissible from the n-th stage of t.
 
     The stages add n times the reduced boundary B_red to the plus
@@ -409,24 +407,23 @@ def minimal_compactification_level(
     against stage 0, (proper line, S+, S-).  Each gcd-free basis piece
     of the fiber forms, and infinity, carries c + n*e with e >= 0, so
     the level is max(1, ceil(-c/e)) over every component and every
-    piece with c < 0: a closed form, no stage is probed.  The membership
-    rules for a constant b do not depend on n.  CertificationError
-    means no stage up to max_level is admissible.
+    piece with c < 0: a closed form, no stage is probed.  The growth
+    fibers a*(B_red) are the open triple's escape fibers a*(boundary),
+    so e = 0 and c < 0 on a piece (no level) break admissibility from
+    t itself, as a constant b in |T+| outside |T-| does: NotAdmissible.
     """
     if t.total.is_proper:
         raise DegenerateInput("the source must have an open total space")
     if not s.total.is_proper:
         raise DegenerateInput("the target must be proper")
-    if not is_admissible(alpha.with_ends(t, s)):
-        raise NotAdmissible("candidate is not admissible from the open triple")
     b_red = Divisor((p, 1) for p in t.total.boundary)
     stage0 = ModulusTriple.proper(t.plus, t.minus)  # proper, so nothing escapes
     levels = [1]
     for comp in alpha.components:
-        # the precheck passed, so no component is a constant b in |T+| outside |T-|
         cmp = component_comparison(comp.a, comp.b, stage0, s)
-        cmp.add_growth(comp.a, b_red)
-        levels.append(cmp.least_level())
-    if None in levels or max(levels) > max_level:
-        raise CertificationError("no stage admitted the correspondence below the search cap")
+        if cmp is not None:
+            cmp.add_growth(comp.a, b_red)
+        levels.append(None if cmp is None else cmp.least_level())
+    if None in levels:
+        raise NotAdmissible("candidate is not admissible from the open triple")
     return max(levels)

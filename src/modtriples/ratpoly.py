@@ -412,7 +412,7 @@ def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
 
 
 def _pbezout(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """s, t with s*a + t*b = 1 mod p, for coprime a, b."""
+    """s, t with s*a + t*b = 1 mod p, for coprime a, b; deg s < deg b and deg t < deg a."""
     r0, r1 = _pmod(a, p), _pmod(b, p)
     s0, s1 = [1], []
     t0, t1 = [], [1]
@@ -527,12 +527,7 @@ def _hensel_step(f, g, h, s, t, m):
 
 def _hensel_lift_pair(f, g, h, p, target):
     """Lift f = g*h from mod p to mod p^k >= target; h stays monic."""
-    s, t = _pbezout(g, h, p)
-    # degree bounds deg s < deg h, deg t < deg g are required by the step
-    s = _pdivmod(s, h, p)[1]
-    t, t_rem = _pdivmod(_zsub([1], _zmul(s, g)), h, p)
-    if t_rem:
-        raise ArithmeticError("Bezout normalization failed")
+    s, t = _pbezout(g, h, p)  # Euclid's cofactors meet the step's degree bounds (MCA, Lemma 3.15)
     m = p
     while m < target:
         f_red = _pmod(f, m * m)

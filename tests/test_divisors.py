@@ -884,11 +884,16 @@ class TestFiberRecords:
 
     def test_comparison_across_legs(self):
         # g = f + 1 pulls [P + 1] back to f*[P]: fibers of distinct points under
-        # distinct maps share factors, while the same map on both legs merges terms
+        # distinct maps share factors, while the same map on both legs merges terms.
+        # The same legs then take escape maps, now and then under a term's own
+        # (map, point) key, and growth terms along g over points of d2, and
+        # least_level must give the level read off the factored pullbacks away
+        # from the escaped points
         rng = random.Random(93)
         shift = rmap(X + ONE)
-        seen = {"same map": 0, "shifted": 0, "effective": 0}
-        for _ in range(120):
+        seen = {"same map": 0, "shifted": 0, "effective": 0, "shared key": 0}
+        levels = {"none": 0, "zero": 0, "positive": 0}
+        for _ in range(240):
             f = TestIntegerLoci.random_map(rng)
             if f.is_constant:
                 continue
@@ -900,11 +905,38 @@ class TestFiberRecords:
             cmp = PullbackComparison()
             cmp.add_pullback(f, d1, +1)
             cmp.add_pullback(g, d2, -1)
-            expected = (pullback_divisor(f, d1) - pullback_divisor(g, d2)).is_effective
-            assert cmp.effective() == expected
+            pulled = pullback_divisor(f, d1) - pullback_divisor(g, d2)
+            assert cmp.effective() == pulled.is_effective
             seen["same map" if same else "shifted"] += 1
-            seen["effective"] += expected
+            seen["effective"] += pulled.is_effective
+
+            escapes = [(rng.choice([f, g, RationalMap.identity()]), rng.sample(TestIntegerLoci.POOL, 1))
+                       for _ in range(rng.randint(0, 1))]
+            if rng.random() < 0.3:  # an escape under the key of an f*d1 term
+                escapes.append((f, [rng.choice(points)]))
+                seen["shared key"] += 1
+            covered = rng.sample(sorted(d2.support(), key=lambda p: p.sort_key()), rng.randint(0, len(points)))
+            growth = [(g, Divisor((p, rng.randint(1, 2)) for p in covered))]
+            if rng.random() < 0.3:  # growth under the identity: a point minimal polynomial
+                growth.append((RationalMap.identity(), Divisor.of(rng.choice(TestIntegerLoci.POOL))))
+            grown = Divisor.zero()
+            for h, d in growth:
+                cmp.add_growth(h, d)
+                grown = grown + pullback_divisor(h, d)
+            gone = set()
+            for h, pts in escapes:
+                cmp.add_escape_map(h, pts)
+                gone |= pullback_divisor(h, Divisor((p, 1) for p in pts)).support()
+            bounds = [
+                -(c // e) if e else None
+                for c, e in ((pulled.multiplicity(p), grown.multiplicity(p)) for p in pulled.support() - gone)
+                if c < 0
+            ]
+            expected = None if None in bounds else max([0, *bounds])
+            assert cmp.least_level() == expected
+            levels["none" if expected is None else "zero" if expected == 0 else "positive"] += 1
         assert min(seen.values()) >= 15, seen
+        assert min(levels.values()) >= 25, levels
 
     def test_fiber_data_rejects_constant_maps(self):
         with pytest.raises(DegenerateInput):

@@ -22,12 +22,14 @@ from modtriples import (
 from modtriples import oracles, ratpoly
 from modtriples.oracles import OracleBudgetExceeded, verify_irreducible
 from modtriples.ratpoly import (
+    _pbezout,
     _pddf,
     _pdivmod,
     _pgcd,
     _pmod,
     _pmonic,
     _ppowmod,
+    _zadd,
     _zderiv,
     _zhomog,
     _zmul,
@@ -128,6 +130,22 @@ class TestModularGcd:
                 assert _pgcd(a, [], p) == _reference_pgcd(a, [], p) == _pmonic(a, p)
                 assert _pgcd([], a, p) == _reference_pgcd([], a, p)
                 assert (a, b) == (a0, b0)  # the inputs are left alone
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 65537])
+    def test_bezout_cofactors_meet_the_hensel_degree_bounds(self, p):
+        # the Hensel step takes extended Euclid's cofactors as they come, so they
+        # must already have deg s < deg h and deg t < deg g, for a non-monic g
+        rng = random.Random(p)
+        checked = 0
+        while checked < 300:
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 12))] + [rng.randrange(1, p)]
+            h = [rng.randrange(p) for _ in range(rng.randint(1, 12))] + [1]
+            if _pgcd(g, h, p) != [1]:
+                continue
+            s, t = _pbezout(g, h, p)
+            assert len(s) < len(h) and len(t) < len(g)
+            assert _pmod(_zadd(_zmul(s, g), _zmul(t, h)), p) == [1]
+            checked += 1
 
 
 class TestSquarefree:
