@@ -32,12 +32,12 @@ from .ratpoly import (
     _zdiv_exact,
     _zgcd,
     _zhomog,
+    _zirreducible,
     _zmul,
     _zprimitive,
     _zresultant,
     _zsub,
     _zyun,
-    is_irreducible,
 )
 
 # The largest degree of a fiber form, deg f * deg P, and of a composite map, so
@@ -80,9 +80,14 @@ class ClosedPoint:
         """The point of an irreducible polynomial; DegenerateInput otherwise."""
         if poly.is_constant:
             raise DegenerateInput("a closed point needs a nonconstant polynomial")
-        if not is_irreducible(poly):
+        return cls._checked(poly.int_primitive()[1])
+
+    @classmethod
+    def _checked(cls, ints: list[int]) -> "ClosedPoint":
+        # ints: primitive, degree >= 1, positive leading coefficient; DegenerateInput if reducible
+        if not _zirreducible(ints):
             raise DegenerateInput("point polynomial is reducible")
-        return cls(poly.int_primitive()[1])
+        return cls(ints)
 
     @classmethod
     def rational(cls, value) -> "ClosedPoint":
@@ -323,19 +328,19 @@ class RationalMap:
 
     @classmethod
     def from_fraction(cls, num: Poly, den: Poly) -> "RationalMap":
-        if den.is_zero:
-            if num.is_zero:
-                raise DegenerateInput("0/0 is not a map")
-            return cls.constant(INFINITY)
-        if num.is_zero:
-            return cls.constant(ClosedPoint.rational(0))
         cn, zn = num.int_primitive()
         cd, zd = den.int_primitive()
-        return cls._from_ints(cn / cd, zn, zd)
+        return cls._from_ints(cn / (cd or 1), zn, zd)  # a zero den leaves the ratio unused
 
     @classmethod
     def _from_ints(cls, ratio: Fraction, zn: list[int], zd: list[int]) -> "RationalMap":
-        # ratio * zn / zd for nonzero integer forms zn, zd
+        # ratio * zn / zd for integer forms zn, zd; a nonzero ratio unless zd is zero
+        if not zd:
+            if not zn:
+                raise DegenerateInput("0/0 is not a map")
+            return cls.constant(INFINITY)
+        if not zn:
+            return cls.constant(ClosedPoint.rational(0))
         pn, pd = _zprimitive(zn), _zprimitive(zd)
         ratio *= Fraction(zn[-1] // pn[-1], zd[-1] // pd[-1])
         g = _zgcd(pn, pd)

@@ -14,7 +14,8 @@ so ``2*P(inf) - P(x^2+1)``; each term takes one sign, and ``P(`` is one token.
 JSON schemas (all rationals travel as strings):
   triple   {"total": {"kind": "proper"} | {"kind": "open", "boundary": [...]},
             "plus": "<divisor>", "minus": "<divisor>"}
-  map      {"num": "<poly>", "den": "<poly>"} or {"const": "<point>"}
+  map      exactly one of {"num": "<poly>", "den": "<poly>"} ("den" defaults
+           to "1") and {"const": "<point>"}
   cycle    {"source": <triple>, "target": <triple>,
             "components": [{"a": <map>, "b": <map>, "mult": 1}, ...]}
   pair     {"total": <total>, "infinity": "<divisor>"}
@@ -29,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -36,7 +38,7 @@ from .cycles import Component, Cycle
 from .divisors import INFINITY, ClosedPoint, CurveSpace, Divisor, RationalMap
 from .errors import ParseError
 from .functors import IYObject, MlogObject, NePair
-from .ratpoly import Poly, _zadd, _zmul, _zpow, _zsub
+from .ratpoly import Poly, _zadd, _zmul, _zpow, _zprimitive, _zsub
 from .triples import ModulusPair, ModulusTriple, TripleSum
 
 # ---------------------------------------------------------------------------
@@ -59,6 +61,11 @@ def _string(value: Any) -> str:
     return value
 
 
+# The points proved irreducible so far in one parse_input call, by primitive integer
+# form, so that a request which names a point twice validates it once; set for the
+# call and reset after it, so no request sees another's.
+_REQUEST_POINTS: ContextVar[dict | None] = ContextVar("_REQUEST_POINTS", default=None)
+
 # One token is an ASCII integer, the point opener "P(", "inf", or any other
 # character that is not whitespace; whitespace only separates tokens.
 _TOKEN = re.compile(r"[0-9]+|P\(|inf|\S")
@@ -72,12 +79,15 @@ def _is_int(token: str) -> bool:
 class _Tokens:
     """The text split by one pass of _TOKEN into (offset, token) pairs, read one at a
     time, so a hostile text costs no more than the tokens read before its first error;
-    columns count from the start of the text."""
+    columns count from the start of the text.  ``points`` is the table of validated
+    points of the request, or of this text alone outside parse_input."""
 
     def __init__(self, text: str):
         self.text = text
         self.matches = _TOKEN.finditer(text)
         self.depth = 0
+        points = _REQUEST_POINTS.get()
+        self.points = {} if points is None else points
         self.advance()
 
     def advance(self) -> None:
@@ -113,7 +123,8 @@ def _parse_whole(text: str, rule: Callable[[_Tokens], Any], what: str):
 
 # The parser works on ascending coefficient lists, trimmed like Poly's
 # (zero is []): ints, and Fractions only where an a/b literal enters.
-# One Poly is built at the end.
+# Points and maps take their integer forms from the list (_clear);
+# parse_poly builds one Poly at the end.
 
 
 def _parse_expr(tk: _Tokens) -> list:
@@ -138,7 +149,10 @@ def _parse_term(tk: _Tokens) -> list:
         rhs = _parse_power(tk)
         if acc and rhs and len(acc) + len(rhs) - 2 > MAX_DEGREE:
             raise tk.error(f"product of degree above {MAX_DEGREE}")
-        acc = _zmul(acc, rhs)
+        if len(rhs) == 1:
+            acc, rhs = rhs, acc
+        # a constant factor is one scaling, which passes zeros by (a Fraction times 0 is a new one)
+        acc = [acc[0] * c if c else 0 for c in rhs] if len(acc) == 1 else _zmul(acc, rhs)
     return acc
 
 
@@ -149,6 +163,8 @@ def _parse_power(tk: _Tokens) -> list:
         exp = tk.integer()
         if exp > MAX_DEGREE:
             raise tk.error(f"exponent above {MAX_DEGREE}")
+        if base == [0, 1]:
+            return [0] * exp + [1]
         if max(len(base) - 1, 0) * exp > MAX_DEGREE:
             raise tk.error(f"power of degree above {MAX_DEGREE}")
         # ints have numerator and denominator too
@@ -187,6 +203,12 @@ def _parse_atom(tk: _Tokens) -> list:
 
 def parse_poly(text: str) -> Poly:
     return Poly(_parse_whole(text, _parse_expr, "polynomial"))
+
+
+def _clear(cs: list) -> tuple[int, list[int]]:
+    """(d, ints) with cs = ints / d, d the least common denominator of cs."""
+    d = math.lcm(*[c.denominator for c in cs])
+    return d, [c.numerator * (d // c.denominator) for c in cs]
 
 
 def _coeffs_to_text(coeffs, lc: int = 1) -> str:
@@ -230,19 +252,23 @@ def _parse_point(tk: _Tokens) -> ClosedPoint:
         tk.take("inf")
         tk.take(")")
         return INFINITY
-    poly = Poly(_parse_expr(tk))
+    cs = _parse_expr(tk)
     tk.take(")")
     # shorthand: P(c) is the rational point x = c
-    cs = (-poly[0], 1) if poly.is_constant else poly.coeffs
-    lc = cs[-1]
-    # the monic form's height, checked before the irreducibility test; the cap
-    # also keeps every accepted point printable under the int-to-str limit
-    for c in cs if lc == 1 else [c / lc for c in cs]:
-        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_HEIGHT_BITS:
+    if len(cs) <= 1:
+        cs = [-cs[0] if cs else 0, 1]
+    f = tuple(_zprimitive(_clear(cs)[1]))
+    # the monic form's height, checked before the irreducibility test: c/lc in lowest
+    # terms has the larger part max(|c|, lc) / gcd(c, lc); the cap also keeps every
+    # accepted point printable under the int-to-str limit
+    lc = f[-1]
+    for c in f:
+        if (max(abs(c), lc) // math.gcd(c, lc)).bit_length() > MAX_HEIGHT_BITS:
             raise ParseError(f"point polynomial with coefficients above {MAX_HEIGHT_BITS} bits")
-    if poly.is_constant:
-        return ClosedPoint.rational(poly[0])
-    return ClosedPoint.finite(poly)
+    point = tk.points.get(f)
+    if point is None:
+        point = tk.points[f] = ClosedPoint._checked(f)
+    return point
 
 
 def parse_point(text: str) -> ClosedPoint:
@@ -300,12 +326,14 @@ def map_from_json(data: Any) -> RationalMap:
     if not isinstance(data, dict):
         raise ParseError("a map is a JSON object")
     if "const" in data:
+        if "num" in data or "den" in data:
+            raise ParseError("a map has either 'const' or 'num' and 'den', not both")
         return RationalMap.constant(parse_point(data["const"]))
     if "num" not in data:
         raise ParseError("a map needs either 'num' or 'const'")
-    num = parse_poly(data["num"])
-    den = parse_poly(data.get("den", "1"))
-    return RationalMap.from_fraction(num, den)
+    dn, zn = _clear(_parse_whole(data["num"], _parse_expr, "polynomial"))
+    dd, zd = _clear(_parse_whole(data.get("den", "1"), _parse_expr, "polynomial"))
+    return RationalMap._from_ints(Fraction(dd, dn), zn, zd)
 
 
 def map_to_json(f: RationalMap) -> dict:
@@ -489,15 +517,20 @@ _TEXT_KINDS: dict[str, Callable[[str], Any]] = {
 
 
 def parse_input(text: str, kind: str):
-    """Parse inline text (or JSON text) into a typed object."""
-    if kind in _TEXT_KINDS:
-        return _TEXT_KINDS[kind](text)
-    if kind not in _JSON_KINDS:
-        raise ParseError(f"unknown object kind {kind!r}")
+    """Parse inline text (or JSON text) into a typed object; each distinct
+    point in it is proved irreducible once."""
+    request = _REQUEST_POINTS.set({})
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    except RecursionError as exc:
-        raise ParseError("JSON nested too deeply") from exc
-    return _JSON_KINDS[kind](data)
+        if kind in _TEXT_KINDS:
+            return _TEXT_KINDS[kind](text)
+        if kind not in _JSON_KINDS:
+            raise ParseError(f"unknown object kind {kind!r}")
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+        except RecursionError as exc:
+            raise ParseError("JSON nested too deeply") from exc
+        return _JSON_KINDS[kind](data)
+    finally:
+        _REQUEST_POINTS.reset(request)

@@ -751,21 +751,23 @@ _EISENSTEIN_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(
 
 
 def is_irreducible(p: Poly) -> bool:
-    """True if p is irreducible over Q (degree >= 1).
+    """True if p is irreducible over Q (degree >= 1)."""
+    return len(p.coeffs) > 1 and _zirreducible(p.int_primitive()[1])
 
-    Decided on the primitive integer form without a full factorization:
-    a quadratic c + b*x + a*x^2 is irreducible exactly when b^2 - 4ac is
-    not a square.  From degree 3, Eisenstein's criterion at a prime below
-    100 certifies f from one content gcd; when it fails, a squarefree f
-    goes to the factoring kernel, whose degree patterns usually certify
-    it unlifted.
+
+def _zirreducible(f: list[int]) -> bool:
+    """True if a primitive f of degree >= 1 is irreducible over Q: the one
+    irreducibility test behind ``is_irreducible`` and every closed point.
+
+    Decided without a full factorization: a quadratic c + b*x + a*x^2 is
+    irreducible exactly when b^2 - 4ac is not a square.  From degree 3,
+    Eisenstein's criterion at a prime below 100 certifies f from one
+    content gcd; when it fails, a squarefree f goes to the factoring
+    kernel, whose degree patterns usually certify it unlifted.
     """
-    n = len(p.coeffs) - 1
-    if n < 1:
-        return False
+    n = len(f) - 1
     if n == 1:
         return True
-    _, f = p.int_primitive()
     if n == 2:
         return len(_split_quadratic(f)) == 1
     g = math.gcd(*f[:-1])  # f is primitive, so no prime dividing g divides lc(f)

@@ -137,6 +137,15 @@ class TestMalformedInputExitsTwo:
         assert "ParseError" in out.stderr
         assert "Traceback" not in out.stdout + out.stderr
 
+    def test_ambiguous_map(self, files):
+        # 'const' beside 'num' or 'den' names two maps at once: an error, not the constant map
+        ambiguous = '{"const": "P(0)", "num": "x^2", "den": "1"}'
+        cycle = files("m.json", ID_CYCLE.replace('"b": {"num": "x"}', f'"b": {ambiguous}'))
+        out = run_cli("check", "admissible", "--cycle", cycle)
+        assert out.returncode == 2
+        assert "ParseError" in out.stderr
+        assert "Traceback" not in out.stdout + out.stderr
+
     def test_deeply_nested_json(self, files):
         cycle = files("deep.json", "[" * 100000 + "]" * 100000)
         out = run_cli("check", "admissible", "--cycle", cycle)

@@ -1,5 +1,6 @@
 """Text grammar and JSON codecs: round trips and rejection diagnostics."""
 
+import json
 import math
 import random
 import time
@@ -7,7 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from modtriples import INFINITY, ClosedPoint, DegenerateInput, Divisor, ModulusTriple, ParseError
+from modtriples import (
+    INFINITY,
+    ClosedPoint,
+    DegenerateInput,
+    Divisor,
+    ModulusTriple,
+    ParseError,
+    RationalMap,
+    divisors,
+    formats,
+)
 from modtriples.formats import (
     MAX_DEGREE,
     MAX_HEIGHT_BITS,
@@ -344,6 +355,11 @@ class TestJson:
         assert c.is_constant
         for m in (f, c):
             assert map_from_json(map_to_json(m)) == m
+        # exactly one of the two forms
+        for both in ({"const": "P(0)", "num": "x^2", "den": "1"}, {"const": "P(0)", "num": "x"},
+                     {"const": "P(0)", "den": "1"}):
+            with pytest.raises(ParseError, match="not both"):
+                map_from_json(both)
 
     def test_cycle(self):
         data = {
@@ -399,3 +415,171 @@ class TestJson:
     def test_semantic_rejection(self):
         with pytest.raises(DegenerateInput):
             parse_input('{"plus": "1*P(x^2-1)"}', "triple")
+
+
+def spell(rng: random.Random, coeffs) -> str:
+    """A random spelling of sum(coeffs[k] * x^k) for rational coeffs: terms in random
+    order with random signs in front, each coefficient an integer or an a/b literal, not
+    always reduced, on either side of its power of x, which is sometimes a product."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        c = Fraction(c)
+        if not c:
+            continue
+        m = rng.choice([1, 1, 2, 3])
+        num, den = abs(c.numerator), c.denominator
+        lit = str(num) if den == 1 and m == 1 else f"{num * m}/{den * m}"
+        j = rng.randint(1, k - 1) if k > 1 and rng.random() < 0.3 else 0
+        mono = {0: "", 1: "x"}.get(k, f"x^{k}") if not j else f"x^{j}*x^{k - j}"
+        body = lit if not mono else rng.choice([f"{lit}*{mono}", f"({lit})*{mono}", f"{mono}*{lit}"])
+        if body.startswith(("1*", "(1)*")) and rng.random() < 0.5:
+            body = mono
+        terms.append(("-" if c < 0 else "+") + rng.choice(["", " "]) + body)
+    rng.shuffle(terms)
+    text = " ".join(terms) or "0"
+    return text[1:] if text.startswith("+") and rng.random() < 0.5 else text
+
+
+def monic_within_cap(p: Poly) -> bool:
+    return all(max(c.numerator.bit_length(), c.denominator.bit_length()) <= MAX_HEIGHT_BITS
+               for c in p.monic().coeffs)
+
+
+class TestIntegerParsePath:
+    """Points and maps are parsed straight to integer forms; the Fraction arithmetic of
+    polyref is the reference."""
+
+    @staticmethod
+    def assert_point(point: ClosedPoint, p: Poly):
+        monic = p.monic()
+        d = math.lcm(*[c.denominator for c in monic.coeffs])  # clears the monic form primitively
+        assert point.ints == tuple(int(c * d) for c in monic.coeffs)
+        assert hash(point) == hash(("pt", monic))
+        assert point.sort_key() == (1,) + monic.sort_key()
+        assert point == ClosedPoint.finite(p)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_points_match_the_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        pool = [p for p in point_pool() if not p.is_infinity]
+        for _ in range(120):
+            p = ref(rng.choice(pool).minimal_poly)
+            k = Fraction(rng.choice([-3, -2, -1, 1, 2, 5, 7]), rng.choice([1, 1, 2, 3, 4]))
+            q = p.scale(k)  # a non-monic multiple of the same point
+            self.assert_point(parse_point(f"P({spell(rng, q.coeffs)})"), q)
+            if p.degree == 1:  # the shorthand P(c)
+                c = -p[0]
+                self.assert_point(parse_point(f"P({spell(rng, [c])})"), p)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_maps_match_the_fraction_reference(self, seed):
+        rng = random.Random(seed)
+
+        def rand_poly(degree: int) -> Poly:
+            return Poly([Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(degree + 1)])
+
+        for _ in range(80):
+            num, den = rand_poly(rng.randint(0, 3)), rand_poly(rng.randint(0, 2))
+            if rng.random() < 0.3:  # a common factor to cancel
+                g = rand_poly(1)
+                num, den = num * g, den * g
+            if num.is_zero and den.is_zero:
+                continue
+            data = {"num": spell(rng, num.coeffs)}
+            if rng.random() < 0.8 or den != Poly.one():
+                data["den"] = spell(rng, den.coeffs)
+            f, expected = map_from_json(data), RationalMap.from_fraction(num, den)
+            assert (f.nz, f.dz, f.const) == (expected.nz, expected.dz, expected.const)
+            assert hash(f) == hash(expected)
+            if not f.is_constant:
+                assert ref(f.num) * den == ref(f.den) * num
+                assert f.dz[-1] > 0 and math.gcd(*f.nz, *f.dz) == 1
+        with pytest.raises(DegenerateInput):
+            map_from_json({"num": "0", "den": "x - x"})
+
+    TOP, OVER = 2**MAX_HEIGHT_BITS - 1, 2**MAX_HEIGHT_BITS  # exactly the cap, and one bit over
+
+    @pytest.mark.parametrize(
+        "coeffs,ok",
+        [
+            # leading coefficient 1
+            ((TOP, 1), True),
+            ((OVER, 1), False),
+            ((Fraction(1, TOP), 0, 1), True),
+            ((Fraction(1, OVER), 0, 1), False),
+            # leading coefficient not 1: the cap holds on the monic form
+            ((TOP, 2), True),
+            ((OVER + 1, 2), False),
+            ((3 * TOP, 3), True),
+            ((1, TOP), True),
+            ((1, OVER), False),
+            ((TOP - 2, Fraction(1, TOP)), False),
+            # the shorthand P(c) is x - c
+            ((TOP,), True),
+            ((-TOP,), True),
+            ((OVER,), False),
+            ((Fraction(1, TOP),), True),
+            ((Fraction(1, OVER),), False),
+            ((Fraction(TOP, 2),), True),
+            ((Fraction(OVER + 1, 2),), False),
+        ],
+    )
+    def test_height_cap_matches_the_fraction_reference(self, coeffs, ok):
+        p = Poly(coeffs) if len(coeffs) > 1 else Poly((-Fraction(coeffs[0]), 1))
+        assert monic_within_cap(p) == ok
+        text = f"P({spell(random.Random(len(coeffs)), coeffs)})"
+        if ok:
+            self.assert_point(parse_point(text), p)
+        else:
+            with pytest.raises(ParseError, match="bits"):
+                parse_point(text)
+
+
+class TestPointTable:
+    """Each distinct point is validated once per parse_input call, and only within it."""
+
+    @pytest.fixture
+    def validated(self, monkeypatch) -> list:
+        seen, validate = [], divisors._zirreducible
+
+        def counting(f):
+            seen.append(tuple(f))
+            return validate(f)
+
+        monkeypatch.setattr(divisors, "_zirreducible", counting)
+        return seen
+
+    CYCLE = json.dumps({
+        "source": {"total": {"kind": "open", "boundary": ["P(x^2 + 1)"]}, "plus": "1*P(x)", "minus": "0"},
+        "target": {"plus": "1*P(-x^2 - 1) + 2*P(2*x^2 + 2)", "minus": "3*P(1/3*x^2 + 1/3) + 1*P(x^2+1)"},
+        "components": [{"a": {"num": "x"}, "b": {"const": "P(0)"}, "mult": 1}],
+    })
+
+    def test_a_repeated_point_is_validated_once(self, validated):
+        parse_input(self.CYCLE, "cycle")
+        assert validated.count((1, 0, 1)) == 1  # named five times
+        assert validated.count((0, 1)) == 1  # P(x) and P(0)
+        assert len(validated) == 2
+
+    def test_no_table_crosses_calls(self, validated):
+        first, second = parse_input(self.CYCLE, "cycle"), parse_input(self.CYCLE, "cycle")
+        assert first == second
+        assert validated.count((1, 0, 1)) == 2
+        assert formats._REQUEST_POINTS.get() is None
+
+    def test_a_reducible_point_named_twice_is_rejected(self, validated):
+        for _ in range(2):
+            with pytest.raises(DegenerateInput, match="reducible"):
+                parse_input('{"plus": "1*P(x^2 - 1) + 2*P(x^2 - 1)"}', "triple")
+        assert validated == [(-1, 0, 1)] * 2
+
+    @pytest.mark.parametrize("text,degree", [("P(x^255 + x + 1)", 255), ("P(x^128 + x + 1)", None)])
+    def test_validation_near_the_degree_cap_is_bounded(self, text, degree):
+        # x^2 + x + 1 divides x^128 + x + 1, since 128 = 2 mod 3
+        started = time.perf_counter()
+        if degree:
+            assert parse_point(text).degree == degree
+        else:
+            with pytest.raises(DegenerateInput):
+                parse_point(text)
+        assert time.perf_counter() - started < 2.0
