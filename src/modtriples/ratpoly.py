@@ -20,9 +20,11 @@ A pullback fiber f = den^e * q(num/den) over a point q of degree e is,
 up to a constant, the norm from K = Q(θ), q(θ) = 0, of num - θ*den, so
 a factor of f over Q has some K-degree m (Capelli's lemma, Schinzel,
 Polynomials with Special Regard to Reducibility, 2000, §2.1, in Trager's
-norm form, SYMSAC 1976) and puts m * deg(Q_j) of its degree into the
-fiber G_j over each irreducible factor Q_j of q mod p: the degree patterns
-are read per Q_j, and a plain polynomial is the trivial fiber q = x.
+norm form, SYMSAC 1976).  The degree patterns are read at the degree-one
+primes of K: a simple root r of q mod p lifts to an embedding K -> Q_p
+(Hensel), under which a factor of K-degree m reduces to a degree-m divisor
+of num - r*den mod p (Gauss's lemma over Z_p); then at the DDFs of f itself
+(``_patterns``).  A plain polynomial is the trivial fiber q = x.
 """
 
 from __future__ import annotations
@@ -568,57 +570,72 @@ def _primes() -> Iterator[int]:
             yield n
 
 
-def _residue_fibers(f: list[int], q: list[int], num: list[int], den: list[int], p: int) -> list | None:
-    """(deg Q_j, DDF of G_j = den^deg(Q_j) * Q_j(num/den) mod p) over the factors Q_j of
-    q mod p; None unless lc(f) and lc(q) survive, num and den stay coprime and q and each
-    G_j stay squarefree, so f is too.  A linear q leaves f its own residue fiber."""
-    if not (f[-1] % p and q[-1] % p):
-        return None
-    if len(q) == 2:
-        fibers = [(1, f)]
-    elif len(_pgcd(num, den, p)) != 1 or len(_pgcd(q, _zderiv(q), p)) != 1:
-        return None
-    else:
-        fibers = []
-        for c, b in _pddf(_pmonic(q, p), p):
-            for r in _pedf(b, c, p, random.Random(p)):
-                fibers.append((c, _pmod(_zhomog(r, num, den, c), p)))
-    out = []
-    for c, g in fibers:
-        if len(_pgcd(g, _zderiv(g), p)) != 1:
-            return None
-        out.append((c, _pddf(_pmonic(g, p), p)))
-    return out
+def _patterns(f: list[int], q: list[int], num: list[int], den: list[int]) -> Iterator[tuple[int, list, set[int]]]:
+    """(p, DDF of a squarefree g mod p, degrees c) such that a factor of the fiber form f of
+    K-degree m reduces to a divisor of g of degree m*c for each c.  For a q of degree e >= 2
+    first g = num - r*den and c = 1 at each simple root r of q mod p, p not dividing lc(q),
+    where g keeps its degree: up to the fourth prime that gives a pattern, or the 32nd odd
+    prime, since a point may have no root mod any small prime (x^256 + 1 has none below
+    7681).  Then g = f at four primes of good reduction, with c = e (the whole factor) and,
+    where q mod p keeps its degree and is squarefree, the degree of each prime of K over p."""
+    e, k = len(q) - 1, max(len(num), len(den)) - 1
+    if e > 1:
+        dq, found, last = _zderiv(q), 0, 0
+        for p in itertools.islice(_primes(), 32):
+            if found == 4:
+                break
+            if not q[-1] % p:
+                continue
+            for r in range(p):
+                if _peval(q, r, p) or not _peval(dq, r, p):
+                    continue
+                g = _zsub(num, [r * c for c in den])
+                if len(g) == k + 1 and g[-1] % p and len(_pgcd(g, _zderiv(g), p)) == 1:
+                    last = p
+                    yield p, _pddf(_pmonic(g, p), p), {1}
+            found += last == p
+    good = (p for p in _primes() if f[-1] % p and len(_pgcd(f, _zderiv(f), p)) == 1)
+    for p in itertools.islice(good, 4):
+        degrees = {e}
+        if e > 1 and q[-1] % p and len(_pgcd(q, _zderiv(q), p)) == 1:
+            degrees |= {c for c, _ in _pddf(_pmonic(q, p), p)}
+        yield p, _pddf(_pmonic(f, p), p), degrees
+
+
+def _peval(a: list[int], r: int, p: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = (v * r + c) % p
+    return v
 
 
 def _factor_squarefree_int(f: list[int], q: list[int], num: list[int], den: list[int]) -> list[list[int]]:
     """Irreducible factors (primitive, positive lc) of a primitive squarefree fiber form
     f = c * den^e * q(num/den), q primitive irreducible of degree e, num and den coprime of
-    degree deg(f) / e.  Any squarefree f is its own trivial fiber q = x, num = f, den = 1.
-    A quadratic f is settled by its discriminant."""
+    degree deg(f) / e.  f is irreducible once no K-degree m < deg(f) / e survives every
+    pattern (``_patterns``); else it is lifted at the one of its four primes of good
+    reduction with the fewest factors.  Any squarefree f is its own trivial fiber q = x,
+    num = f, den = 1.  A quadratic f is settled by its discriminant."""
     n = len(f) - 1
     if n <= 1:
         return [f]
     if n == 2:
         return _split_quadratic(f)
     open_m = set(range(1, n // (len(q) - 1)))
-    good = ((p, fibers) for p in _primes()
-            if (fibers := _residue_fibers(f, q, num, den, p)) is not None)
     scanned = []
-    for p, fibers in itertools.islice(good, 4):
-        for c, ddf in fibers:
-            sums = {0}
-            for d, g in ddf:
-                for _ in range((len(g) - 1) // d):
-                    sums |= {s + d for s in sums}
-            # a factor of K-degree m puts m * c of its degree into this G_j
+    for p, ddf, degrees in _patterns(f, q, num, den):
+        sums = {0}
+        for d, g in ddf:
+            for _ in range((len(g) - 1) // d):
+                sums |= {s + d for s in sums}
+        for c in degrees:
             open_m = {m for m in open_m if m * c in sums}
         if not open_m:
             return [f]
-        scanned.append((sum((len(g) - 1) // d for _, ddf in fibers for d, g in ddf), p, fibers))
-    _, p, fibers = min(scanned)  # the fewest factors to lift
+        scanned.append((p, ddf))
+    p, ddf = min(scanned[-4:], key=lambda s: sum((len(g) - 1) // d for d, g in s[1]))  # DDFs of f
     rng = random.Random(p)
-    parts = [r for _, ddf in fibers for d, g in ddf for r in _pedf(g, d, p, rng)]
+    parts = [r for d, g in ddf for r in _pedf(g, d, p, rng)]
     # lift to a modulus beyond twice the Mignotte factor bound
     norm2 = math.isqrt(sum(c * c for c in f)) + 1
     bound = 2 ** (n + 1) * norm2 * abs(f[-1])

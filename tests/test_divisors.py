@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -716,8 +717,8 @@ class TestIntegerLoci:
 
 class TestFiberFactoring:
     """pullback_divisor, which certifies a fiber over a point of degree >= 2
-    one residue factor at a time and skips factoring under degree-1 maps,
-    against factor() of the same fiber form."""
+    at the simple roots of the point mod p and skips factoring under degree-1
+    maps, against factor() of the same fiber form."""
 
     SQRTM1 = ClosedPoint.finite(X**2 + ONE)
     PINNED = [
@@ -733,8 +734,8 @@ class TestFiberFactoring:
         (rmap(X + Poly.constant(3), X - Poly.constant(2)), SQRTM1, 1),
         (rmap(X + Poly.constant(3), X - Poly.constant(2)), P1, 1),
         (rmap(Poly((-4, -1, 1, 3)), Poly.constant(5)), ClosedPoint.finite(Poly((5, -3, 3))), 1),
-        # irreducible: x^4 + 1, closed one residue factor at a time, and a
-        # fiber that no prime closes, so lifting proves it
+        # irreducible: x^4 + 1, and (4x^2 + 3x + 3)/2 over x^2 + 1, both
+        # closed at the roots of x^2 + 1 mod 5 without a lift
         (SQ, SQRTM1, 1),
         (rmap(Poly((3, 3, 4)), Poly.constant(2)), SQRTM1, 1),
     ]
@@ -809,19 +810,37 @@ class TestFiberFactoring:
 
     def test_lifts_only_what_the_certificate_leaves_open(self, monkeypatch):
         # x^4 + 1 splits mod every prime, so the degree patterns of the whole
-        # polynomial never close; over x^2 + 1 = (x - 2)(x + 2) mod 5 the
-        # residue fiber x^2 - 2 is irreducible, which rules out K-degree 1.
-        # Both fibers are irreducible, as ClosedPoint.finite checks.
-        cases = [(SQ, False), (rmap(Poly((3, 3, 4)), Poly.constant(2)), True)]
-        expected = [Divisor.of(ClosedPoint.finite(fiber_data(f, self.SQRTM1)[0])) for f, _ in cases]
+        # polynomial never close; at the roots 2 and 3 of x^2 + 1 mod 5 the
+        # patterns x^2 - 2 and x^2 - 3 are irreducible, which rules out
+        # K-degree 1, and ClosedPoint.finite checks that x^4 + 1 is irreducible.
+        # x^4 + 4 over x^2 + 4 is x^2 - 2i = (x - 1 - i)(x + 1 + i) over K = Q(i):
+        # every pattern keeps K-degree 1, so only a lift can split it.
+        cases = [(SQ, self.SQRTM1, False), (SQ, ClosedPoint.finite(X**2 + Poly.constant(4)), True)]
         lifts = []
         recombine = ratpoly._recombine
         monkeypatch.setattr(ratpoly, "_recombine", lambda *args: lifts.append(1) or recombine(*args))
-        for (f, lifted), divisor in zip(cases, expected):
+        for f, point, lifted in cases:
+            expected = self.by_factor(f, point)  # factor() lifts x^4 + 1 as a plain polynomial
+            assert len(expected.support()) == (2 if lifted else 1)
             lifts.clear()
             _fiber_cached.cache_clear()  # a fiber's points are built once per session
-            assert pullback_divisor(f, Divisor.of(self.SQRTM1)) == divisor
+            assert pullback_divisor(f, Divisor.of(point)) == expected
             assert bool(lifts) == lifted
+
+    def test_fiber_over_a_point_without_small_roots_is_bounded(self, monkeypatch):
+        # x^256 + 1 has roots mod p only for p = 1 mod 512, the first being 7681, so the
+        # root search ends at its cap.  The fiber x^512 + 1 under x^2 is then read at 3,
+        # where x^256 + 1 has two factors of degree 128 and x^512 + 1 two of degree 256:
+        # a factor of K-degree 1 would put degree 128 over each, so there is none.
+        point = ClosedPoint([1] + [0] * 255 + [1])  # trusted, as validating it lifts x^256 + 1
+        lifts = []
+        recombine = ratpoly._recombine
+        monkeypatch.setattr(ratpoly, "_recombine", lambda *args: lifts.append(1) or recombine(*args))
+        _fiber_cached.cache_clear()
+        started = time.perf_counter()
+        pulled = pullback_divisor(SQ, Divisor.of(point))
+        assert time.perf_counter() - started < 2.0
+        assert pulled == Divisor.of(ClosedPoint([1] + [0] * 511 + [1])) and not lifts
 
 
 class TestFiberRecords:

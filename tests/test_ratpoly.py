@@ -1,6 +1,7 @@
 """Kernel tests: gcd, squarefree decomposition, factorization, resultants."""
 
 import ast
+import functools
 import math
 import random
 from fractions import Fraction
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 from modtriples import (
     ClosedPoint,
     DegenerateInput,
+    RationalMap,
     factor,
     is_irreducible,
+    point_image,
     poly_gcd,
     resultant,
     squarefree_decomposition,
@@ -22,6 +25,7 @@ from modtriples import (
 from modtriples import oracles, ratpoly
 from modtriples.oracles import OracleBudgetExceeded, verify_irreducible
 from modtriples.ratpoly import (
+    _patterns,
     _pbezout,
     _pddf,
     _pdivmod,
@@ -33,6 +37,7 @@ from modtriples.ratpoly import (
     _zderiv,
     _zhomog,
     _zmul,
+    _zprimitive,
     _zsub,
     _zyun,
 )
@@ -436,6 +441,120 @@ class TestPackedDdf:
     def test_full_slots(self, p, f):
         # packed sums here exceed a quarter of the slot bound 2^w > 2np^2
         assert _pddf(f, p) == _plain_ddf(f, p)
+
+
+class TestRootPatterns:
+    """The fiber certificate reads one pattern per simple root r of q mod p,
+    the DDF of num - r*den, kept only where it is sound; then the DDFs of the
+    fiber form f itself, with the degrees of the primes of K over p."""
+
+    @staticmethod
+    def scan(q, num, den):
+        """(p, DDF, degrees) of every pattern, and the fiber form they certify."""
+        f = _zprimitive(_zhomog(q, num, den, len(q) - 1))
+        return list(_patterns(f, q, num, den)), f
+
+    @classmethod
+    def roots(cls, q, num, den):
+        """(p, DDF) of the root patterns, which come first and carry the one degree 1."""
+        return [(p, ddf) for p, ddf, degrees in cls.scan(q, num, den)[0] if degrees == {1}]
+
+    def at(self, p, q, num, den):
+        return [ddf for prime, ddf in self.roots(q, num, den) if prime == p]
+
+    def test_prime_dividing_lc_gives_no_pattern(self):
+        # 3x^2 + x + 1 is x + 1 mod 3, with the simple root 2, where num - 2*den is
+        # x^2 - 1, squarefree of full degree; still the scan reads nothing at 3
+        q, num, den = [1, 1, 3], [1, 0, 1], [1]
+        primes = [p for p, _ in self.roots(q, num, den)]
+        assert 3 not in primes and 5 in primes
+        assert len(set(primes)) == 4  # the scan stops at the fourth prime with a pattern
+
+    def test_double_root_is_skipped(self):
+        # x^2 + 3 is x^2 mod 3: its root 0 is double, though num - 0*den = x^2 + 2 is
+        # squarefree there; mod 7 it has the simple roots 2 and 5
+        q, num, den = [3, 0, 1], [2, 0, 1], [0, 1]
+        assert self.at(3, q, num, den) == []
+        assert len(self.at(7, q, num, den)) == 2
+
+    def test_root_where_degree_drops_is_skipped(self):
+        # x^2 + 1 has the roots 2 and 3 mod 5; at r = 2, num - r*den = 1 - 2x
+        # loses its x^2 term, while at r = 3 it is 4x^2 + 2x + 1, squarefree
+        q, num, den = [1, 0, 1], [1, 0, 2], [0, 1, 1]
+        assert self.at(5, q, num, den) == [_pddf(_pmonic([1, 2, 4], 5), 5)]
+
+    def test_root_where_g_is_not_squarefree_is_skipped(self):
+        # (4x^2 + 3x + 3)/2 over x^2 + 1: at r = 2 mod 5, g = 4x^2 + 3x + 4 = 4(x + 2)^2;
+        # at r = 3, g = 4x^2 + 3x + 2 is irreducible, which closes K-degree 1
+        q, num, den = [1, 0, 1], [3, 3, 4], [2]
+        assert self.at(5, q, num, den) == [[(2, [3, 2, 1])]]
+
+    def test_root_search_stops_at_the_32nd_odd_prime(self):
+        # x^8 + 1 has roots mod p only for p = 1 mod 16: 17, 97 and 113 up to 137,
+        # the 32nd odd prime; the next, 193, is not searched
+        q, num, den = [1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 1], [1]
+        assert sorted({p for p, _ in self.roots(q, num, den)}) == [17, 97, 113]
+
+    def test_fiber_form_is_read_with_the_primes_of_k(self):
+        # f = x^16 + 1 over x^8 + 1: a factor of K-degree m has degree 8m and puts
+        # 4m (2m mod 7) of it over each prime of Q(zeta_16) above 3, 5, 7 and 11
+        patterns, f = self.scan([1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 1], [1])
+        assert [(p, degrees) for p, _, degrees in patterns[-4:]] == [
+            (3, {8, 4}), (5, {8, 4}), (7, {8, 2}), (11, {8, 4})]
+        assert [ddf for _, ddf, _ in patterns[-4:]] == [_pddf(f, p) for p in (3, 5, 7, 11)]
+        # 3 divides lc(3x^2 + x + 1) but not lc(f): only the whole degree 2m is read there
+        patterns, f = self.scan([1, 1, 3], [1, 1], [1, 0, 1])
+        assert f == [5, 7, 6, 1, 1] and patterns[-4][::2] == (3, {2})
+        # 3x^2/(x + 1) over x^2 + 9 has the fiber form x^4 + x^2 + 2x + 1 once its content
+        # 9 is removed, good at 3, where x^2 + 9 is x^2, not squarefree: only 2m is read
+        patterns, f = self.scan([9, 0, 1], [0, 0, 3], [1, 1])
+        assert f == [1, 2, 1, 0, 1] and patterns[-4][::2] == (3, {2})
+
+    def test_linear_q_reads_f_itself(self):
+        # the trivial fiber q = x: the patterns are the DDFs of f at primes of good reduction
+        f = [1, 0, 0, 0, 1]  # x^4 + 1
+        assert list(_patterns(f, [0, 1], f, [1])) == [(p, _pddf(f, p), {1}) for p in (3, 5, 7, 11)]
+        # over 2x - 1 the fiber form of 3x^5 + x + 1 is 6x^5 + 2x + 1, bad at 3
+        patterns, f = self.scan([-1, 2], [1, 1, 0, 0, 0, 3], [1])
+        assert f == [1, 2, 0, 0, 0, 6] and [p for p, _, _ in patterns] == [5, 7, 11, 13]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fiber_route_matches_trivial_route(self, seed):
+        """Fibers over non-monic points and reducible fibers: the certificate read at
+        the roots of q gives the factors that f, factored as a plain polynomial, has."""
+        rng = random.Random(seed)
+        points = [[1, 0, 1], [1, 1, 3], [-5, 0, 3], [-2, 0, 0, 1], [2, -1, 0, 5],
+                  [1, 1, 1, 1, 1], [3, 0, 0, 0, 2], [7, 1, 0, 4]]
+        seen = {"non-monic": 0, "reducible": 0, "certified": 0}
+        done = 0
+        while done < 40:
+            num = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+            den = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+            if not any(num) or not any(den):
+                continue
+            f_map = RationalMap.from_fraction(Poly(num), Poly(den))
+            if f_map.is_constant or f_map.degree < 2:
+                continue
+            point = ClosedPoint(rng.choice(points))
+            if done % 3 == 0:  # the image of a point: its fiber contains that point, so splits
+                point = point_image(f_map, point)
+            q, nz, dz = list(point.ints), list(f_map.nz), list(f_map.dz)
+            if len(q) < 3:
+                continue
+            f = _zprimitive(_zhomog(q, nz, dz, len(q) - 1))
+            if _zyun(f) != [(1, f)]:  # ramified fibers are factored one Yun part at a time
+                continue
+            via_roots = sorted(ratpoly._factor_squarefree_int(f, q, nz, dz))
+            assert via_roots == sorted(ratpoly._factor_squarefree_int(f, [0, 1], f, [1]))
+            assert functools.reduce(_zmul, via_roots) == f
+            for z in via_roots:
+                if len(z) <= 7:
+                    assert verify_irreducible(Poly(z))
+                    seen["certified"] += 1
+            seen["non-monic"] += q[-1] != 1
+            seen["reducible"] += len(via_roots) > 1
+            done += 1
+        assert seen["non-monic"] >= 20 and seen["reducible"] >= 10 and seen["certified"] >= 25, seen
 
 
 class TestIsIrreducible:
