@@ -9,12 +9,12 @@ Factorization follows the classic route: squarefree decomposition
 (Yun, run over Z[x] on primitive integer coefficient lists, since it
 needs only gcds and exact quotients); distinct-degree factorization
 modulo a few small primes of good reduction, whose degree patterns
-often prove irreducibility outright (Musser); Cantor-Zassenhaus
-equal-degree splitting at the prime with the fewest factors; quadratic
-Hensel lifting; and factor recombination, exponential in the worst
-case, which is fine at desk scale (degrees stay small and inputs are
-not adversarial).  Irreducibility alone is first tried by Eisenstein's
-criterion at the primes below 100, which needs no factoring at all.
+often prove irreducibility outright (Musser), and Cantor-Zassenhaus
+splitting at the prime with the fewest factors, both computing mod
+(f, p) in one packed residue ring; quadratic Hensel lifting; and factor
+recombination, which raises DegenerateInput past a budget of
+MAX_RECOMBINATION_SUBSETS subsets.  Irreducibility alone is first tried
+by Eisenstein's criterion at the primes below 100, with no factoring.
 
 A pullback fiber f = den^e * q(num/den) over a point q of degree e is,
 up to a constant, the norm from K = Q(θ), q(θ) = 0, of num - θ*den, so
@@ -40,6 +40,7 @@ from typing import Iterable, Iterator
 from .errors import DegenerateInput
 
 NEG_INFINITY = float("-inf")  # degree of the zero polynomial
+MAX_RECOMBINATION_SUBSETS = 100_000  # factor subsets that recombination tries before DegenerateInput
 
 
 def _trim(coeffs: list) -> list:
@@ -401,18 +402,6 @@ def _pmonic(a: list[int], p: int) -> list[int]:
     return a
 
 
-def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_zmul(result, base), mod, p)[1]
-        e >>= 1
-        if e:
-            base = _pdivmod(_zmul(base, base), mod, p)[1]
-    return result
-
-
 def _pbezout(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """s, t with s*a + t*b = 1 mod p, for coprime a, b; deg s < deg b and deg t < deg a."""
     r0, r1 = _pmod(a, p), _pmod(b, p)
@@ -429,59 +418,73 @@ def _pbezout(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def _pddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
-    """Distinct-degree factorization of a monic squarefree f mod p.
+class _Ring:
+    """Residues mod (f, p), for a monic f of degree n >= 2 and a prime p: lists of at most
+    n coefficients in [0, p), packed into big ints w bits a coefficient, so that one big-int
+    product multiplies two residues and the rows x^i mod f (i < 2n - 1) reduce it."""
 
-    Returns pairs (d, g), g the monic product of the irreducible factors
-    of degree d.  Products mod f run on residues packed into big ints, w
-    bits a coefficient: the rows x^i mod f (i < 2n - 1) reduce a
-    product, and the Frobenius rows x^(i*p) mod f make h -> h^p one
-    vector-matrix product.  A gcd costs O(n^2) list operations and a
-    packed product O(n), so the values h - x for n // 16 + 1 consecutive
-    degrees share one gcd with f.
-    """
-    n = len(f) - 1
-    w = (2 * n * p * p).bit_length()  # a slot holds a sum of 2n products
-    mask = (1 << w) - 1
+    def __init__(self, f: list[int], p: int):
+        n = self.n = len(f) - 1
+        self.p, self.w = p, (2 * n * p * p).bit_length()  # a slot holds a sum of 2n products
+        self.rows = [1 << (self.w * i) for i in range(n)]
+        top = [-c % p for c in f[:-1]]  # x^n mod f, then x^(n+1) mod f, ...
+        for _ in range(n - 1):
+            self.rows.append(self.pack(top))
+            top = [(c - top[-1] * fc) % p for c, fc in zip([0] + top[:-1], f)]
 
-    def pack(a: list[int]) -> int:
-        v = 0
+    def pack(self, a: list[int]) -> int:
+        v, w = 0, self.w
         for c in reversed(a):
             v = (v << w) | c
         return v
 
-    def unpack(v: int, m: int = n) -> list[int]:
+    def unpack(self, v: int, m: int | None = None) -> list[int]:
+        """The first m slots of v (n by default), each reduced mod p."""
+        w, p = self.w, self.p
+        mask = (1 << w) - 1
         out = []
-        for _ in range(m):
+        for _ in range(self.n if m is None else m):
             out.append((v & mask) % p)
             v >>= w
         return out
 
-    reduce_rows = [1 << (w * i) for i in range(n)]
-    top = [-c % p for c in f[:-1]]  # x^n mod f, then x^(n+1) mod f, ...
-    for _ in range(n - 1):
-        reduce_rows.append(pack(top))
-        top = [(c - top[-1] * fc) % p for c, fc in zip([0] + top[:-1], f)]
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        prod = self.unpack(self.pack(a) * self.pack(b), 2 * self.n - 1)
+        return self.unpack(sum(c * r for c, r in zip(prod, self.rows)))
 
-    def mulmod(a: list[int], b: list[int]) -> list[int]:
-        prod = unpack(pack(a) * pack(b), 2 * n - 1)
-        return unpack(sum(c * r for c, r in zip(prod, reduce_rows)))
+    def pow(self, a: list[int], e: int) -> list[int]:
+        result = a  # e >= 1, read from its top bit down
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
 
-    xp = _ppowmod([0, 1], p, f, p)
-    frobenius = [1, pack(xp)]
-    row = xp
-    for _ in range(n - 2):
-        row = mulmod(row, xp)
-        frobenius.append(pack(row))
+
+def _pddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """Distinct-degree factorization of a monic squarefree f mod p, deg f >= 2.
+
+    Returns pairs (d, g), g the monic product of the irreducible factors
+    of degree d.  Products mod f run in one ``_Ring``, whose packed
+    Frobenius rows x^(i*p) mod f make h -> h^p one vector-matrix product.
+    A gcd costs O(n^2) list operations and a packed product O(n), so the
+    values h - x for n // 16 + 1 consecutive degrees share one gcd with f.
+    """
+    ring = _Ring(f, p)
+    row = xp = ring.pow([0, 1], p)
+    frobenius = [1, ring.pack(xp)]
+    for _ in range(ring.n - 2):
+        row = ring.mul(row, xp)
+        frobenius.append(ring.pack(row))
     out = []
     h = [0, 1]
     d = 0
     while 2 * (d + 1) <= len(f) - 1:
         block = []
-        for _ in range(min(n // 16 + 1, (len(f) - 1) // 2 - d)):
-            h = unpack(sum(c * r for c, r in zip(h, frobenius)))
+        for _ in range(min(ring.n // 16 + 1, (len(f) - 1) // 2 - d)):
+            h = ring.unpack(sum(c * r for c, r in zip(h, frobenius)))
             block.append(_pmod(_zsub(h, [0, 1]), p))
-        g = _pgcd(f, functools.reduce(mulmod, block), p)
+        g = _pgcd(f, functools.reduce(ring.mul, block), p)
         for i, hx in enumerate(block, 1):
             d += 1
             # g holds f's factors of degrees d to the block's last: then only d
@@ -501,10 +504,10 @@ def _pedf(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
     n = len(g) - 1
     if n == d:
         return [g]
-    e = (p**d - 1) // 2
+    ring, e = _Ring(g, p), (p**d - 1) // 2
     while True:
-        a = _trim([rng.randrange(p) for _ in range(n)])
-        s = _pgcd(g, _zsub(_ppowmod(a, e, g, p), [1]), p)
+        a = [rng.randrange(p) for _ in range(n)]
+        s = _pgcd(g, _zsub(ring.pow(a, e), [1]), p)
         if 0 < len(s) - 1 < n:
             return _pedf(s, d, p, rng) + _pedf(_pdivmod(g, s, p)[0], d, p, rng)
 
@@ -659,11 +662,15 @@ def _split_quadratic(f: list[int]) -> list[list[int]]:
 
 def _recombine(f: list[int], lifted: list[list[int]], modulus: int) -> list[list[int]]:
     found: list[list[int]] = []
+    tried = 0
     active = list(range(len(lifted)))
     size = 1
     while 2 * size <= len(active):
         restart = False
         for combo in itertools.combinations(active, size):
+            tried += 1
+            if tried > MAX_RECOMBINATION_SUBSETS:
+                raise DegenerateInput(f"factor recombination above {MAX_RECOMBINATION_SUBSETS} subsets")
             # cheap test on the constant coefficient first
             tail = f[-1]
             for i in combo:

@@ -573,9 +573,12 @@ class TestPointTable:
                 parse_input('{"plus": "1*P(x^2 - 1) + 2*P(x^2 - 1)"}', "triple")
         assert validated == [(-1, 0, 1)] * 2
 
-    @pytest.mark.parametrize("text,degree", [("P(x^255 + x + 1)", 255), ("P(x^128 + x + 1)", None)])
+    @pytest.mark.parametrize(
+        "text,degree", [("P(x^255 + x + 1)", 255), ("P(x^128 + x + 1)", None), ("P(x^256 + 1)", 256)]
+    )
     def test_validation_near_the_degree_cap_is_bounded(self, text, degree):
-        # x^2 + x + 1 divides x^128 + x + 1, since 128 = 2 mod 3
+        # x^2 + x + 1 divides x^128 + x + 1, since 128 = 2 mod 3; x^256 + 1 is irreducible,
+        # with two factors of degree 128 mod 3 for Cantor-Zassenhaus to split
         started = time.perf_counter()
         if degree:
             assert parse_point(text).degree == degree

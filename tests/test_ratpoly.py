@@ -4,6 +4,7 @@ import ast
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,10 +30,10 @@ from modtriples.ratpoly import (
     _pbezout,
     _pddf,
     _pdivmod,
+    _pedf,
     _pgcd,
     _pmod,
     _pmonic,
-    _ppowmod,
     _zadd,
     _zderiv,
     _zhomog,
@@ -54,6 +55,19 @@ def c(v) -> Poly:
 def odd_primorial(limit: int) -> int:
     """The product of the odd primes below limit."""
     return math.prod(n for n in range(3, limit, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2)))
+
+
+def swinnerton_dyer(primes: tuple[int, ...]) -> Poly:
+    """The product of x - (±√a ± √b ± ...) over all signs, for the primes a, b, ...:
+    irreducible of degree 2^k, and a product of factors of degree <= 2 mod every prime."""
+    sd = X
+    for a in primes:
+        # sd(x + √a) = A + √a*B, so sd(x - √a) * sd(x + √a) = A^2 - a*B^2
+        A = B = Poly.zero()
+        for v in reversed(sd.coeffs):
+            A, B = A * X + B.scale(a) + c(v), B * X + A
+        sd = A * A - (B * B).scale(a)
+    return sd
 
 
 def eisenstein(q: int, d: int, rng: random.Random) -> Poly:
@@ -398,14 +412,26 @@ class TestFactor:
                 assert verify_irreducible(q)
 
 
+def _plain_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """base^e mod (mod, p) by square and multiply on unpacked lists."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _pdivmod(_zmul(result, base), mod, p)[1]
+        e >>= 1
+        base = _pdivmod(_zmul(base, base), mod, p)[1]
+    return result
+
+
 def _plain_ddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
-    """Distinct-degree factorization on unpacked lists: gcd(f, x^(p^d) - x)."""
+    """Distinct-degree factorization on unpacked lists: gcd(f, x^(p^d) - x),
+    independent of the packed residue ring that ``_pddf`` runs in."""
     out = []
     h = [0, 1]
     d = 0
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
-        h = _ppowmod(h, p, f, p)
+        h = _plain_powmod(h, p, f, p)
         g = _pgcd(f, _zsub(h, [0, 1]), p)
         if len(g) > 1:
             out.append((d, g))
@@ -441,6 +467,55 @@ class TestPackedDdf:
     def test_full_slots(self, p, f):
         # packed sums here exceed a quarter of the slot bound 2^w > 2np^2
         assert _pddf(f, p) == _plain_ddf(f, p)
+
+
+class TestEqualDegreeSplit:
+    """Cantor-Zassenhaus: each factor is monic of degree d, and they multiply back to g,
+    checked with unpacked arithmetic."""
+
+    @staticmethod
+    def check(g: list[int], d: int, p: int) -> list[list[int]]:
+        parts = _pedf(g, d, p, random.Random(p))
+        assert all(len(q) == d + 1 and q[-1] == 1 for q in parts)
+        assert _pmod(functools.reduce(_zmul, parts), p) == g
+        return parts
+
+    @pytest.mark.parametrize("p", [3, 5, 31, 65537])
+    def test_random_products(self, p):
+        rng = random.Random(p)
+        split = 0
+        for _ in range(12):
+            f = [rng.randrange(p) for _ in range(rng.randint(2, 24))] + [1]
+            if len(_pgcd(f, _zderiv(f), p)) != 1:
+                continue
+            for d, g in _pddf(f, p):
+                split += len(self.check(g, d, p)) > 1
+        assert split
+
+    def test_two_factors_of_degree_128(self):
+        # x^256 + 1 mod 3: the order of 3 mod 512 is 128
+        g = [1] + [0] * 255 + [1]
+        assert _pddf(g, 3) == [(128, g)]
+        assert len(self.check(g, 128, 3)) == 2
+
+
+class TestRecombinationCap:
+    """Swinnerton-Dyer polynomials split into linear and quadratic factors mod every
+    prime, so only recombination proves them irreducible: 16 modular factors take
+    39202 subsets, and 32 would take about 2^31."""
+
+    def test_degree_32_is_certified(self):
+        sd = swinnerton_dyer((2, 3, 5, 7, 11))
+        assert sd.degree == 32
+        assert is_irreducible(sd)
+        assert factor(sd).factors == ((sd, 1),)
+
+    def test_degree_64_is_an_error_in_bounded_time(self):
+        sd = swinnerton_dyer((2, 3, 5, 7, 11, 13))
+        started = time.perf_counter()
+        with pytest.raises(DegenerateInput, match="recombination above 100000 subsets"):
+            is_irreducible(sd)
+        assert time.perf_counter() - started < 2.0
 
 
 class TestRootPatterns:

@@ -143,6 +143,15 @@ class TestModulusCondition:
         with pytest.raises(NotFiniteOverSource):
             component_comparison(const, ID, BOX, BOX)
 
+    def test_escapes_of_an_open_target(self):
+        # b = x sends 0 out of P^1 - {0}, so 0 is an escape and the -a*S- term there does
+        # not count; the component is not proper over the source, so only this branch of
+        # the comparison sees that escape
+        source = ModulusTriple.proper(ZERO, D0)
+        target = ModulusTriple(CurveSpace.open([P0]), ZERO, ZERO)
+        assert modulus_condition(ID, ID, source, target) is True
+        assert modulus_condition(ID, ID, source, ModulusTriple.proper(ZERO, ZERO)) is False
+
     def test_invariant_under_reparametrization(self):
         # precomposition with any nonconstant self-map preserves the verdict
         from modtriples import compose_maps
