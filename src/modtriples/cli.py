@@ -23,23 +23,6 @@ from pathlib import Path
 from . import formats
 from .cycles import compose, is_admissible, morphism_flags, position_classify
 from .errors import SymbolicError
-from .functors import (
-    g_shrink,
-    is_iy_morphism,
-    is_mlog_morphism,
-    iy_to_triple,
-    lambda_embed,
-    minimal_compactification_level,
-    mlog_to_triple,
-    ne_embed,
-    ne_hom_member,
-    p_left,
-    q_right,
-    separation_adjoint,
-    triple_to_iy,
-    triple_to_mlog,
-)
-from .suites import SuiteConfig, run_suite
 from .triples import classify, dual, pullback_triple, separation, shift_morphism
 
 
@@ -76,6 +59,13 @@ def _report(identifier: str, inputs: dict, verdict: str, payload: dict, started:
 # verb handlers: each takes its verb's inputs in flag order and returns
 # (report inputs, verdict, payload, human text); the verdict "no" exits 1
 # ---------------------------------------------------------------------------
+
+
+def _functors():
+    """The functors module, imported on the first call of a verb that needs it."""
+    from . import functors
+
+    return functors
 
 
 def _yes(ok: bool) -> str:
@@ -139,7 +129,7 @@ def _shift(triple, divisor):
 
 
 def _min_compactify(cycle):
-    level = minimal_compactification_level(cycle.source, cycle.target, cycle)
+    level = _functors().minimal_compactification_level(cycle.source, cycle.target, cycle)
     return formats.cycle_to_json(cycle), "ok", {"level": level}, f"n = {level}"
 
 
@@ -154,28 +144,29 @@ def _min_compactify(cycle):
 _ENDS = "cycle source=triple? target=triple?"
 
 # Handlers call engine functions by name at call time, so a function rebound by name
-# (as perfbench's tracer does) is the one run.
+# (as perfbench's tracer does) is the one run.  The functor verbs reach functors only
+# through _functors(), and suite imports suites in _suite, so the other verbs load neither.
 _VERBS = {
     "check admissible": (_ENDS, _admissible),
     "check position": (_ENDS, _position),
     "check sigma-fin": (_ENDS, lambda c: _flag(c, "sigma_fin")),
     "check minimal": (_ENDS, lambda c: _flag(c, "minimal")),
     "check class": ("triple", _class),
-    "check iy": ("map from=iy to=iy", lambda f, x, y: _morphism(f, is_iy_morphism(f, x, y))),
-    "check mlog": ("map from=mlog to=mlog", lambda f, x, y: _morphism(f, is_mlog_morphism(f, x, y))),
-    "check ne-hom": ("cycle from=ne to=ne", lambda c, x, y: _member(c, ne_hom_member(c, x, y))),
+    "check iy": ("map from=iy to=iy", lambda f, x, y: _morphism(f, _functors().is_iy_morphism(f, x, y))),
+    "check mlog": ("map from=mlog to=mlog", lambda f, x, y: _morphism(f, _functors().is_mlog_morphism(f, x, y))),
+    "check ne-hom": ("cycle from=ne to=ne", lambda c, x, y: _member(c, _functors().ne_hom_member(c, x, y))),
     "apply dual": ("triple", lambda t: _result(formats.triple_to_json(dual(t)))),
     "apply separate": ("triple", _separate),
-    "apply kappa-inv": ("triple", lambda t: _result(formats.iy_to_json(triple_to_iy(t)))),
-    "apply mlog-kappa-inv": ("triple", lambda t: _result(formats.mlog_to_json(triple_to_mlog(t)))),
-    "apply g": ("triple", lambda t: _result(formats.triple_to_json(g_shrink(t)))),
-    "apply q": ("triple", lambda t: _result(formats.pair_to_json(q_right(t)))),
-    "apply s": ("triple", lambda t: _result(formats.triple_to_json(separation_adjoint(t)))),
-    "apply kappa": ("iy", lambda o: _result(formats.triple_to_json(iy_to_triple(o)))),
-    "apply mlog-kappa": ("mlog", lambda o: _result(formats.triple_to_json(mlog_to_triple(o)))),
-    "apply ne-embed": ("ne", lambda x: _result(formats.triple_to_json(ne_embed(x)))),
-    "apply p": ("triples", lambda ts: _result(formats.triple_sum_to_json(p_left(ts)))),
-    "apply lambda": ("space", lambda x: _result(formats.triple_to_json(lambda_embed(x)))),
+    "apply kappa-inv": ("triple", lambda t: _result(formats.iy_to_json(_functors().triple_to_iy(t)))),
+    "apply mlog-kappa-inv": ("triple", lambda t: _result(formats.mlog_to_json(_functors().triple_to_mlog(t)))),
+    "apply g": ("triple", lambda t: _result(formats.triple_to_json(_functors().g_shrink(t)))),
+    "apply q": ("triple", lambda t: _result(formats.pair_to_json(_functors().q_right(t)))),
+    "apply s": ("triple", lambda t: _result(formats.triple_to_json(_functors().separation_adjoint(t)))),
+    "apply kappa": ("iy", lambda o: _result(formats.triple_to_json(_functors().iy_to_triple(o)))),
+    "apply mlog-kappa": ("mlog", lambda o: _result(formats.triple_to_json(_functors().mlog_to_triple(o)))),
+    "apply ne-embed": ("ne", lambda x: _result(formats.triple_to_json(_functors().ne_embed(x)))),
+    "apply p": ("triples", lambda ts: _result(formats.triple_sum_to_json(_functors().p_left(ts)))),
+    "apply lambda": ("space", lambda x: _result(formats.triple_to_json(_functors().lambda_embed(x)))),
     "apply pullback-triple": ("map triple", lambda f, t: _result(formats.triple_to_json(pullback_triple(f, t)))),
     "apply shift": ("triple divisor", _shift),
     "compose": ("first=cycle second=cycle", lambda c1, c2: _result(formats.cycle_to_json(compose(c1, c2)))),
@@ -207,6 +198,8 @@ def _inputs(args, spec: str) -> list:
 
 
 def _suite(args, started) -> int:
+    from .suites import SuiteConfig, run_suite
+
     names = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     config = SuiteConfig(
         seed=args.seed,

@@ -32,14 +32,16 @@ import math
 import re
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .cycles import Component, Cycle
 from .divisors import INFINITY, ClosedPoint, CurveSpace, Divisor, RationalMap
 from .errors import ParseError
-from .functors import IYObject, MlogObject, NePair
 from .ratpoly import Poly, _zadd, _zmul, _zpow, _zprimitive, _zsub
 from .triples import ModulusPair, ModulusTriple, TripleSum
+
+if TYPE_CHECKING:
+    from .functors import IYObject, MlogObject, NePair
 
 # ---------------------------------------------------------------------------
 # polynomial text
@@ -463,6 +465,8 @@ def cycle_to_json(cycle: Cycle) -> dict:
 def iy_from_json(data: Any) -> IYObject:
     if not isinstance(data, dict):
         raise ParseError("a two-divisor object is a JSON object")
+    from .functors import IYObject  # imported here, so that loading formats leaves functors unloaded
+
     return IYObject(y=parse_divisor(data.get("Y", "0")), z=parse_divisor(data.get("Z", "0")))
 
 
@@ -473,6 +477,8 @@ def iy_to_json(o: IYObject) -> dict:
 def mlog_from_json(data: Any) -> MlogObject:
     if not isinstance(data, dict):
         raise ParseError("a boundary/modulus object is a JSON object")
+    from .functors import MlogObject
+
     return MlogObject(
         boundary_div=parse_divisor(data.get("boundary", "0")),
         modulus_div=parse_divisor(data.get("modulus", "0")),
@@ -486,6 +492,8 @@ def mlog_to_json(o: MlogObject) -> dict:
 def ne_from_json(data: Any) -> NePair:
     if not isinstance(data, dict):
         raise ParseError("a signed pair is a JSON object")
+    from .functors import NePair
+
     return NePair(infinity=parse_divisor(data.get("infinity", "0")))
 
 

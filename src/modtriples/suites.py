@@ -45,6 +45,7 @@ from .divisors import (
 )
 from .errors import NotExcellent, ParseError, SymbolicError
 from .formats import (
+    MAX_DEGREE,
     cycle_from_json,
     cycle_to_json,
     divisor_to_text,
@@ -119,6 +120,8 @@ class SuiteConfig:
             raise ParseError("seed must fit in 64 unsigned bits")
         if self.samples < 1 or self.degree_bound < 1 or self.height_bound < 1:
             raise ParseError("samples and bounds must be at least one")
+        if self.degree_bound > MAX_DEGREE:  # the degree cap of a parsed map
+            raise ParseError(f"degree bound above {MAX_DEGREE}")
         names = self.resolved_suites()
         for name in names:
             if name not in SUITES:

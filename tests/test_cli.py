@@ -77,6 +77,14 @@ class TestExitCodes:
     def test_unknown_suite(self, capsys):
         assert main(["suite", "--suites", "nope", "--samples", "1"]) == 2
 
+    @pytest.mark.parametrize("bound", [257, 100000])
+    def test_degree_bound_above_the_map_cap(self, capsys, bound):
+        # random maps obey the degree cap of a parsed map; above it a run would not end
+        started = time.perf_counter()
+        assert main(["suite", "--degree-bound", str(bound), "--suites", "composition", "--samples", "1"]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "ParseError: degree bound above 256" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -295,6 +303,43 @@ class TestCommands:
     def test_suite_verdict(self, capsys):
         assert main(["suite", "--suites", "fixtures", "--samples", "1", "--seed", "3"]) == 0
         assert "failed: 0" in capsys.readouterr().out
+
+
+COLD_MODULES = ["modtriples", "modtriples.cli", "modtriples.cycles", "modtriples.divisors",
+                "modtriples.errors", "modtriples.formats", "modtriples.ratpoly", "modtriples.triples"]
+_LOADED = """
+import json, sys
+from modtriples.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else None
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "modtriples")]))
+"""
+
+
+def loaded_after(*argv: str) -> tuple:
+    """(exit code of main(argv), or None when argv is empty; the modtriples modules then
+    loaded), in a fresh interpreter, so this process's imports cannot hide a load."""
+    env = dict(os.environ, PYTHONPATH=str(Path(modtriples.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    return tuple(json.loads(out.stdout.splitlines()[-1]))
+
+
+class TestColdStart:
+    """A verb loads the engine modules it needs and no others."""
+
+    def test_import_loads_the_decision_layers_only(self):
+        assert loaded_after() == (None, COLD_MODULES)
+
+    def test_check_admissible(self, files):
+        assert loaded_after("check", "admissible", "--cycle", files("id.json", ID_CYCLE)) == (0, COLD_MODULES)
+
+    def test_min_compactify_loads_functors(self, files):
+        code, modules = loaded_after("min-compactify", "--cycle", files("sq.json", SQ_CYCLE))
+        assert code == 0 and modules == sorted([*COLD_MODULES, "modtriples.functors"])
+
+    def test_suite_loads_suites(self):
+        code, modules = loaded_after("suite", "--suites", "fixtures", "--samples", "1", "--seed", "3")
+        assert code == 0 and {"modtriples.suites", "modtriples.oracles", "modtriples.functors"} <= set(modules)
 
 
 class TestDeterminism:

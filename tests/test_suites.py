@@ -21,6 +21,8 @@ class TestConfig:
             SuiteConfig(samples=0)
         with pytest.raises(ParseError):
             SuiteConfig(degree_bound=0)
+        with pytest.raises(ParseError, match="degree bound above 256"):
+            SuiteConfig(degree_bound=257)
         with pytest.raises(ParseError):
             SuiteConfig(seed=-1)
         with pytest.raises(ParseError):
