@@ -737,7 +737,7 @@ def locus_subset(a: Locus, *covers: Locus) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# divisor comparisons without factorization: gcd-free bases of fiber forms
+# divisor comparisons without factorization: known fiber points, then gcd-free bases
 # ---------------------------------------------------------------------------
 
 
@@ -745,16 +745,18 @@ class PullbackComparison:
     """Accumulates signed pullback terms and decides effectivity.
 
     One entry per fiber, keyed by (map, point): coefficient, slope in an
-    unknown level n, an escape flag and the fiber form.  Positive verdict
+    unknown level n, an escape flag and the fiber record.  Positive verdict
     means: the divisor is effective away from the escaped fibers (domain
     points removed from the open model), whatever terms they carry.
-    Exact, and never factors anything: it refines the fiber forms into a
-    gcd-free basis instead.  ``add_growth`` terms are scaled by n >= 0,
-    and ``least_level`` solves for the least n that is effective.
+    Exact, and never factors anything: a fiber whose points are known (its
+    map has degree one, or its record holds its points) is read as those
+    points, and only the fiber forms left unfactored are refined into a
+    gcd-free basis.  ``add_growth`` terms are scaled by n >= 0, and
+    ``least_level`` solves for the least n that is effective.
     """
 
     def __init__(self):
-        # (map, point) -> [coefficient, slope, escaped, fiber form]
+        # (map, point) -> [coefficient, slope, escaped, fiber record]
         self._fibers: dict[tuple[RationalMap, ClosedPoint], list] = {}
         self._inf_coeff = 0
         self._inf_slope = 0
@@ -773,7 +775,7 @@ class PullbackComparison:
             self._inf_coeff += sign * mult * fiber.k
             self._inf_slope += slope * mult * fiber.k
             if len(fiber.ints) > 1:
-                entry = self._fibers.setdefault((f, point), [0, 0, False, fiber.ints])
+                entry = self._fibers.setdefault((f, point), [0, 0, False, fiber])
                 entry[0] += sign * mult
                 entry[1] += slope * mult
 
@@ -783,7 +785,7 @@ class PullbackComparison:
             if fiber.k > 0:
                 self._inf_escaped = True
             if len(fiber.ints) > 1:
-                self._fibers.setdefault((f, point), [0, 0, False, fiber.ints])[2] = True
+                self._fibers.setdefault((f, point), [0, 0, False, fiber])[2] = True
 
     def effective(self) -> bool:
         return self.least_level() == 0
@@ -791,27 +793,58 @@ class PullbackComparison:
     def least_level(self) -> Optional[int]:
         """Least n >= 0 making the accumulated divisor effective, or None.
 
-        Each gcd-free basis piece, and infinity, carries c + n * e with
-        e >= 0 (growth terms are effective), so n must reach ceil(-c/e)
-        wherever c < 0, and no n exists where c < 0 and e = 0.
+        Each known point, each gcd-free basis piece of the rest, and
+        infinity, carries c + n * e with e >= 0 (growth terms are
+        effective), so n must reach ceil(-c/e) wherever c < 0, and no n
+        exists where c < 0 and e = 0.
         """
         level = 0
         if any(c or e for c, e, _, _ in self._fibers.values()):
-            live = [(key, form) for key, (c, e, escaped, form) in self._fibers.items() if c or e or escaped]
-            for beta, carriers in _gcd_free_basis(live):
+            # point form -> [coefficient, slope, escaped]
+            known: dict[tuple[int, ...], list] = {}
+            unknown = []
+            for key, (c, e, escaped, rec) in self._fibers.items():
+                if not (c or e or escaped):
+                    continue
+                if key[0].degree == 1:
+                    points = ((rec.ints, 1),)
+                elif rec._points is not None:
+                    points = [(q.ints, m) for q, m in rec._points]
+                else:
+                    unknown.append((key, c, e, escaped, rec.ints))
+                    continue
+                for q, m in points:
+                    entry = known.setdefault(q, [0, 0, False])
+                    entry[0] += c * m
+                    entry[1] += e * m
+                    entry[2] = entry[2] or escaped
+            # the known points inside an unfactored form take its terms and its escape
+            rest: dict[tuple, list[int]] = {}
+            for key, c, e, escaped, form in unknown:
+                for q, entry in known.items():
+                    x, form = _divide_out(form, q)
+                    if x:
+                        entry[0] += c * x
+                        entry[1] += e * x
+                        entry[2] = entry[2] or escaped
+                if len(form) > 1:
+                    rest[key] = form
+            pieces = list(known.values())
+            for beta, carriers in _gcd_free_basis(list(rest.items())):
                 c = e = 0
+                escaped = False
                 for key in carriers:
-                    coeff, slope, escaped, form = self._fibers[key]
-                    x = _exponent_of(beta, form)
-                    if x and escaped:
-                        break  # this piece of the line was removed from the model
+                    coeff, slope, esc, _ = self._fibers[key]
+                    x = _divide_out(rest[key], beta)[0]
                     c += coeff * x
                     e += slope * x
-                else:
-                    if c < 0:
-                        if not e:
-                            return None
-                        level = max(level, -(c // e))
+                    escaped = escaped or (esc and x > 0)
+                pieces.append((c, e, escaped))
+            for c, e, escaped in pieces:
+                if c < 0 and not escaped:  # an escaped piece was removed from the model
+                    if not e:
+                        return None
+                    level = max(level, -(c // e))
         if not self._inf_escaped and self._inf_coeff < 0:
             if not self._inf_slope:
                 return None
@@ -819,59 +852,45 @@ class PullbackComparison:
         return level
 
 
-def _gcd_free_basis(fibers: list[tuple[tuple, tuple[int, ...]]]) -> list[tuple[list[int], list[tuple]]]:
+def _gcd_free_basis(fibers: list[tuple[tuple, list[int]]]) -> list[tuple[list[int], list[tuple]]]:
     """Pairwise coprime integer polynomials covering all factors of the fiber forms.
 
     Takes (key, form) pairs, keyed by (map, point), and returns
     (basis_poly, carriers) pairs; carriers over-approximate the keys
     whose forms the basis element can divide.  Fibers of one map over
     distinct points are coprime, so they are never gcd-ed against each
-    other, and fibers under the identity are the point minimal
-    polynomials, irreducible, which reduces a gcd with them to a single
-    divisibility test.
+    other.
     """
-    basis: list[tuple[list[int], list, bool]] = []
-    queue = [(list(form), [key], key[0].is_identity) for key, form in fibers]
+    basis: list[tuple[list[int], list]] = []
+    queue = [(list(form), [key]) for key, form in fibers]
     while queue:
-        q, carriers, q_irr = queue.pop()
+        q, carriers = queue.pop()
         if len(q) <= 1:
             continue
-        for idx, (b, b_carriers, b_irr) in enumerate(basis):
+        for idx, (b, b_carriers) in enumerate(basis):
             if all(fa == fb and pa != pb for fa, pa in carriers for fb, pb in b_carriers):
                 continue
-            g = _pair_gcd(q, q_irr, b, b_irr)
+            g = _zgcd(q, b)
             if len(g) <= 1:
                 continue
             del basis[idx]
             rest_b = _zprimitive(_zdiv_exact(b, g))
             rest_q = _zprimitive(_zdiv_exact(q, g))
             if len(rest_b) > 1:
-                queue.append((rest_b, b_carriers, False))
-            queue.append((g, b_carriers + [k for k in carriers if k not in b_carriers], q_irr or b_irr))
+                queue.append((rest_b, b_carriers))
+            queue.append((g, b_carriers + [k for k in carriers if k not in b_carriers]))
             if len(rest_q) > 1:
-                queue.append((rest_q, carriers, False))
+                queue.append((rest_q, carriers))
             break
         else:
-            basis.append((q, carriers, q_irr))
-    return [(b, carriers) for b, carriers, _ in basis]
+            basis.append((q, carriers))
+    return basis
 
 
-def _pair_gcd(q: list[int], q_irr: bool, b: list[int], b_irr: bool) -> list[int]:
-    if q_irr and b_irr:
-        return q if q == b else [1]
-    if q_irr:
-        return q if _zdiv_exact(b, q) is not None else [1]
-    if b_irr:
-        return b if _zdiv_exact(q, b) is not None else [1]
-    return _zgcd(q, b)
-
-
-def _exponent_of(beta: list[int], poly: tuple[int, ...]) -> int:
+def _divide_out(poly: list[int], beta: list[int]) -> tuple[int, list[int]]:
+    """(x, rest): beta^x is the highest power of beta dividing poly, and rest = poly / beta^x.
+    Both are primitive with positive leading coefficients, and so is each quotient (Gauss)."""
     count = 0
-    cur = poly
-    while True:
-        nxt = _zdiv_exact(cur, beta)
-        if nxt is None:
-            return count
-        count += 1
-        cur = _zprimitive(nxt)
+    while (nxt := _zdiv_exact(poly, beta)) is not None:
+        count, poly = count + 1, nxt
+    return count, poly

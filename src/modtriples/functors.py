@@ -404,10 +404,11 @@ def minimal_compactification_level(t: ModulusTriple, s: ModulusTriple, alpha: Cy
     Stages and target are proper, so left properness holds, nothing
     escapes, and stage n admits a component (a, b) exactly when
     D0 + n*a*(B_red) >= 0, where D0 is the component's comparison
-    against stage 0, (proper line, S+, S-).  Each gcd-free basis piece
-    of the fiber forms, and infinity, carries c + n*e with e >= 0, so
-    the level is max(1, ceil(-c/e)) over every component and every
-    piece with c < 0: a closed form, no stage is probed.  The growth
+    against stage 0, (proper line, S+, S-).  Each piece of the comparison
+    (a known fiber point, or a gcd-free basis piece of the other fiber
+    forms) and infinity carries c + n*e with e >= 0, so the level is
+    max(1, ceil(-c/e)) over every component and every piece with c < 0:
+    a closed form, no stage is probed.  The growth
     fibers a*(B_red) are the open triple's escape fibers a*(boundary),
     so e = 0 and c < 0 on a piece (no level) break admissibility from
     t itself, as a constant b in |T+| outside |T-| does: NotAdmissible.

@@ -118,6 +118,8 @@ class SuiteConfig:
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
             raise ParseError("seed must fit in 64 unsigned bits")
+        if self.height_bound >= 2**64:  # coefficients this large cost without bound to print
+            raise ParseError("height bound must fit in 64 unsigned bits")
         if self.samples < 1 or self.degree_bound < 1 or self.height_bound < 1:
             raise ParseError("samples and bounds must be at least one")
         if self.degree_bound > MAX_DEGREE:  # the degree cap of a parsed map

@@ -85,6 +85,14 @@ class TestExitCodes:
         assert time.perf_counter() - started < 1.0
         assert "ParseError: degree bound above 256" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", [2**64, 10**1000])
+    def test_height_bound_above_64_bits(self, capsys, bound):
+        # a bound of 10^1000 ran 7 s and crashed printing a coefficient
+        started = time.perf_counter()
+        assert main(["suite", "--height-bound", str(bound), "--suites", "all", "--samples", "1"]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "ParseError: height bound must fit in 64 unsigned bits" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv,message",
         [

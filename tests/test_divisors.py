@@ -901,14 +901,91 @@ class TestFiberRecords:
         assert seen["ramified"] >= 30 and 20 <= seen["effective"] <= 180, seen
         assert _fiber_cached.cache_info().hits > 0
 
+    @staticmethod
+    def comparison(pulls, growth=(), escapes=()) -> PullbackComparison:
+        cmp = PullbackComparison()
+        for h, d, sign in pulls:
+            cmp.add_pullback(h, d, sign)
+        for h, d in growth:
+            cmp.add_growth(h, d)
+        for h, pts in escapes:
+            cmp.add_escape_map(h, pts)
+        return cmp
+
+    @staticmethod
+    def reference(spec, fibers) -> tuple:
+        """(effective, least level) read off the factored pullbacks: the pull terms
+        alone are effective, and the least level away from the escaped points."""
+        pulls, growth, escapes = spec
+        pulled = sum((fibers[h, p] * (sign * m) for h, d, sign in pulls for p, m in d), Divisor.zero())
+        grown = sum((fibers[h, p] * m for h, d in growth for p, m in d), Divisor.zero())
+        gone = set().union(*(fibers[h, p].support() for h, pts in escapes for p in pts))
+        bounds = [
+            -(c // e) if e else None
+            for c, e in ((pulled.multiplicity(p), grown.multiplicity(p)) for p in pulled.support() - gone)
+            if c < 0
+        ]
+        return pulled.is_effective, None if None in bounds else max([0, *bounds])
+
+    def three_ways(self, rng, spec):
+        """The spec's answers with no fiber factored (the cache cleared), with every
+        fiber factored, and with a seeded half factored first, each against the
+        reference.  Returns the factored fibers, the reference, and the keys whose
+        points the comparison knew in the cold and in the half-warm run."""
+        pulls, growth, escapes = spec
+        keys = list(dict.fromkeys([(h, p) for h, d, *_ in (*pulls, *growth) for p, _ in d]
+                                  + [(h, p) for h, pts in escapes for p in pts]))
+
+        def answers():
+            return self.comparison(pulls).effective(), self.comparison(pulls, growth, escapes).least_level()
+
+        _fiber_cached.cache_clear()
+        cold = answers()
+        # the comparison factored nothing
+        assert all(_fiber_cached(h, p)._points is None for h, p in keys
+                   if h.degree > 1 and len(_fiber_cached(h, p).ints) > 1)
+        fibers = {(h, p): pullback_divisor(h, Divisor.of(p)) for h, p in keys}
+        expected = self.reference(spec, fibers)
+        assert cold == expected
+        assert answers() == expected
+        _fiber_cached.cache_clear()
+        warmed = [(h, p) for h, p in keys if rng.random() < 0.5]
+        for h, p in warmed:
+            pullback_divisor(h, Divisor.of(p))
+        assert answers() == expected
+        moebius = {k for k in keys if k[0].degree == 1}
+        return fibers, expected, (moebius, moebius | set(warmed))
+
+    @staticmethod
+    def known_meets_unknown(spec, fibers, known) -> set[str]:
+        """How a point the comparison knows meets a live fiber form it does not:
+        with multiplicity >= 2 in the form of another map, or inside an escaped form."""
+        pulls, growth, escapes = spec
+        coeff: dict = {}
+        for h, d, sign in pulls:
+            for p, m in d:
+                coeff[h, p] = coeff.get((h, p), 0) + sign * m
+        escaped = {(h, p) for h, pts in escapes for p in pts}
+        live = {k for k, c in coeff.items() if c} | {(h, p) for h, d in growth for p, _ in d} | escaped
+        cases = set()
+        for k1 in live & known:
+            for k2 in live - known:
+                for q, _ in fibers[k1]:
+                    mult = 0 if q.is_infinity else fibers[k2].multiplicity(q)
+                    if mult >= 2 and k1[0] != k2[0]:
+                        cases.add("exponent >= 2")
+                    if mult and k2 in escaped:
+                        cases.add("escaped over known")
+        return cases
+
     def test_comparison_across_legs(self):
         # g = f + 1 pulls [P + 1] back to f*[P]: fibers of distinct points under
         # distinct maps share factors, while the same map on both legs merges terms.
         # The same legs then take escape maps, now and then under a term's own
         # (map, point) key, and growth terms along g over points of d2, and
         # least_level must give the level read off the factored pullbacks away
-        # from the escaped points
-        rng = random.Random(93)
+        # from the escaped points, whichever fibers were factored before
+        rng, warm_rng = random.Random(93), random.Random(94)
         shift = rmap(X + ONE)
         seen = {"same map": 0, "shifted": 0, "effective": 0, "shared key": 0}
         levels = {"none": 0, "zero": 0, "positive": 0}
@@ -921,14 +998,6 @@ class TestFiberRecords:
             points = rng.sample(TestIntegerLoci.POOL, rng.randint(1, 3))
             d1 = Divisor((p, rng.randint(1, 3)) for p in points)
             d2 = Divisor((p if same else point_image(shift, p), rng.randint(1, 3)) for p in points)
-            cmp = PullbackComparison()
-            cmp.add_pullback(f, d1, +1)
-            cmp.add_pullback(g, d2, -1)
-            pulled = pullback_divisor(f, d1) - pullback_divisor(g, d2)
-            assert cmp.effective() == pulled.is_effective
-            seen["same map" if same else "shifted"] += 1
-            seen["effective"] += pulled.is_effective
-
             escapes = [(rng.choice([f, g, RationalMap.identity()]), rng.sample(TestIntegerLoci.POOL, 1))
                        for _ in range(rng.randint(0, 1))]
             if rng.random() < 0.3:  # an escape under the key of an f*d1 term
@@ -938,24 +1007,44 @@ class TestFiberRecords:
             growth = [(g, Divisor((p, rng.randint(1, 2)) for p in covered))]
             if rng.random() < 0.3:  # growth under the identity: a point minimal polynomial
                 growth.append((RationalMap.identity(), Divisor.of(rng.choice(TestIntegerLoci.POOL))))
-            grown = Divisor.zero()
-            for h, d in growth:
-                cmp.add_growth(h, d)
-                grown = grown + pullback_divisor(h, d)
-            gone = set()
-            for h, pts in escapes:
-                cmp.add_escape_map(h, pts)
-                gone |= pullback_divisor(h, Divisor((p, 1) for p in pts)).support()
-            bounds = [
-                -(c // e) if e else None
-                for c, e in ((pulled.multiplicity(p), grown.multiplicity(p)) for p in pulled.support() - gone)
-                if c < 0
-            ]
-            expected = None if None in bounds else max([0, *bounds])
-            assert cmp.least_level() == expected
+            _, (effective, expected), _ = self.three_ways(warm_rng, ([(f, d1, +1), (g, d2, -1)], growth, escapes))
+            seen["same map" if same else "shifted"] += 1
+            seen["effective"] += effective
             levels["none" if expected is None else "zero" if expected == 0 else "positive"] += 1
         assert min(seen.values()) >= 15, seen
         assert min(levels.values()) >= 25, levels
+
+    MOEBIUS = [rmap(X.scale(2) + ONE, X - Poly.constant(3)), rmap(ONE, X), rmap(Poly.constant(-3) - X),
+               rmap(X.scale(3) - ONE, X + ONE)]
+
+    def test_known_points_inside_unfactored_fibers(self):
+        # F = q^m (x + a) + b pulls [b] back to m[R] + [-a], with q the minimal
+        # polynomial of R; R is known to the comparison as the fiber of the identity
+        # or of a Moebius map mu over mu(R), while F's fiber over b stays a form until
+        # its record is factored.  Terms over R weigh against m times F's, now and then
+        # with F's fiber escaped or a growth term, and the three runs must agree
+        rng, warm_rng = random.Random(95), random.Random(96)
+        points = [p for p in TestIntegerLoci.POOL if not p.is_infinity]
+        seen = {"exponent >= 2": 0, "escaped over known": 0, "moebius": 0}
+        levels = {"none": 0, "zero": 0, "positive": 0}
+        for _ in range(100):
+            r, m, a, b = rng.choice(points), rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-3, 3)
+            big_f = rmap(Poly(r.ints) ** m * (X + Poly.constant(a)) + Poly.constant(b))
+            mu = rng.choice([RationalMap.identity(), *self.MOEBIUS])
+            over_b, over_r = Divisor.of(ClosedPoint.rational(b)), Divisor.of(point_image(mu, r))
+            sign = rng.choice([1, -1])
+            pulls = [(big_f, over_b * rng.randint(1, 2), sign), (mu, over_r * rng.randint(1, 2 * m + 1), -sign)]
+            growth = rng.choice([[], [(big_f, over_b)], [(mu, over_r)], [(big_f, over_b), (mu, over_r)]])
+            escapes = [(big_f, [ClosedPoint.rational(b)])] if rng.random() < 0.35 else []
+            spec = (pulls, growth, escapes)
+            fibers, (_, expected), known = self.three_ways(warm_rng, spec)
+            cases = set().union(*(self.known_meets_unknown(spec, fibers, k) for k in known))
+            for case in cases:
+                seen[case] += 1
+            seen["moebius"] += not mu.is_identity
+            levels["none" if expected is None else "zero" if expected == 0 else "positive"] += 1
+        assert min(seen.values()) >= 15, seen
+        assert min(levels.values()) >= 15, levels
 
     def test_fiber_data_rejects_constant_maps(self):
         with pytest.raises(DegenerateInput):

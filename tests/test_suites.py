@@ -27,6 +27,9 @@ class TestConfig:
             SuiteConfig(seed=-1)
         with pytest.raises(ParseError):
             SuiteConfig(seed=2**64)
+        with pytest.raises(ParseError, match="height bound must fit in 64 unsigned bits"):
+            SuiteConfig(height_bound=2**64)
+        assert SuiteConfig(height_bound=2**64 - 1).height_bound == 2**64 - 1
 
     def test_all_expands_to_registry(self):
         assert SuiteConfig(suites=("all",)).resolved_suites() == tuple(SUITES)
