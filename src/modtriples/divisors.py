@@ -514,6 +514,14 @@ class _Fiber:
                 self._parts = None
         return self._points
 
+    def known(self, f: RationalMap) -> Optional[list[tuple[tuple[int, ...], int]]]:
+        """The (primitive form, multiplicity) pairs of a nonempty fiber's points when they
+        are known without factoring: under a degree-one map the fiber form is its one
+        point, and a record that holds its points gives them; None otherwise."""
+        if f.degree == 1:
+            return [(self.ints, 1)]
+        return None if self._points is None else [(q.ints, m) for q, m in self._points]
+
 
 def fiber_data(f: RationalMap, point: ClosedPoint) -> tuple[Poly, int]:
     """(g, k): the divisor f*[point] equals div0(g) + k*[infinity].
@@ -670,7 +678,7 @@ def canonical_split(d: Divisor) -> tuple[Divisor, Divisor]:
 
 
 # ---------------------------------------------------------------------------
-# loci: reduced preimage sets, represented by squarefree polynomials
+# loci: reduced preimage sets, as known points and a squarefree polynomial
 # ---------------------------------------------------------------------------
 
 
@@ -678,62 +686,75 @@ def canonical_split(d: Divisor) -> tuple[Divisor, Divisor]:
 class Locus:
     """A finite Galois-stable set of closed points of the line.
 
-    ``poly`` is a primitive squarefree integer polynomial with a positive
-    leading coefficient (roots = the finite points; ascending
-    coefficients) and ``has_infinity`` flags the point at infinity.
-    ``Locus()`` is the empty locus.
+    ``points`` holds the primitive integer forms of the points known
+    one by one, and ``poly`` is the primitive squarefree product of the
+    others, left unfactored, coprime to each of them; all have positive
+    leading coefficients and ascending coefficients.  ``has_infinity``
+    flags the point at infinity.  ``Locus()`` is the empty locus.
     """
 
     poly: tuple[int, ...] = (1,)
     has_infinity: bool = False
+    points: tuple[tuple[int, ...], ...] = ()
 
     @property
     def is_empty(self) -> bool:
-        return len(self.poly) == 1 and not self.has_infinity
+        return len(self.poly) == 1 and not self.points and not self.has_infinity
 
 
 # Products of primitive polynomials with positive leading coefficients are
 # again such (Gauss's lemma), so loci need no normalization, and a primitive
 # a divides an integral b over Q exactly when it divides it over Z: inclusion
-# in a union is one exact division in Z[x], with no gcd.
+# needs exact divisions in Z[x] only, with no gcd.
 
 
 def points_locus(points: Iterable[ClosedPoint]) -> Locus:
-    acc = [1]
-    inf = False
-    for p in points:
-        if p.is_infinity:
-            inf = True
-        else:
-            acc = _zmul(acc, p.ints)
-    return Locus(tuple(acc), inf)
+    forms = tuple(p.ints for p in points)  # None at infinity
+    return Locus((1,), None in forms, tuple(q for q in forms if q is not None))
 
 
 def preimage_locus(f: RationalMap, points: Iterable[ClosedPoint]) -> Locus:
-    """{n : f(n) in points}, as a locus on the source line; f must be nonconstant."""
+    """{n : f(n) in points}, as a locus on the source line; f must be nonconstant.
+    A fiber whose points are known (``_Fiber.known``) gives them, and the
+    squarefree parts of the others are multiplied into ``poly``."""
     if f.is_constant:
         raise DegenerateInput("preimage locus needs a nonconstant map")
     acc = [1]
+    known: list[tuple[int, ...]] = []
     inf = False
     for p in points:
         fiber = _fiber_cached(f, p)
         if fiber.k > 0:
             inf = True
         if len(fiber.ints) > 1:
-            acc = _zmul(acc, fiber.squarefree())
+            forms = fiber.known(f)
+            if forms is None:
+                acc = _zmul(acc, fiber.squarefree())
+            else:
+                known.extend(q for q, _ in forms)
     # fibers of distinct points are disjoint, so the product is squarefree
-    return Locus(tuple(acc), inf)
+    return Locus(tuple(acc), inf, tuple(known))
 
 
 def locus_subset(a: Locus, *covers: Locus) -> bool:
-    """a lies in the union of the covers: a.poly is squarefree, so exactly when it
-    divides the product of theirs, and infinity must lie in some cover."""
+    """a lies in the union of the covers, and infinity must lie in some cover.
+
+    A known point of a must be a cover point or divide a cover's ``poly``.
+    The cover points dividing a.poly are divided out, each at most once
+    since a.poly is squarefree, and the rest, squarefree, must divide the
+    product of the covers' unfactored forms."""
     if a.has_infinity and not any(c.has_infinity for c in covers):
         return False
-    prod = [1]
-    for c in covers:
-        prod = _zmul(prod, c.poly)
-    return _zdiv_exact(prod, a.poly) is not None
+    points = {q for c in covers for q in c.points}
+    forms = [c.poly for c in covers if len(c.poly) > 1]
+    for q in a.points:
+        if q not in points and all(_zdiv_exact(g, q) is None for g in forms):
+            return False
+    rest = a.poly
+    for q in points:
+        if len(q) <= len(rest):
+            rest = _zdiv_exact(rest, q) or rest  # a quotient is never empty
+    return len(rest) == 1 or _zdiv_exact(reduce(_zmul, forms, [1]), rest) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -806,11 +827,8 @@ class PullbackComparison:
             for key, (c, e, escaped, rec) in self._fibers.items():
                 if not (c or e or escaped):
                     continue
-                if key[0].degree == 1:
-                    points = ((rec.ints, 1),)
-                elif rec._points is not None:
-                    points = [(q.ints, m) for q, m in rec._points]
-                else:
+                points = rec.known(key[0])
+                if points is None:
                     unknown.append((key, c, e, escaped, rec.ints))
                     continue
                 for q, m in points:

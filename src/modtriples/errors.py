@@ -75,10 +75,15 @@ class CertificationError(SymbolicError):
 
 
 class ParseError(SymbolicError):
-    """Text or JSON input did not match the published grammar/schema."""
+    """Text or JSON input did not match the published grammar/schema.
+
+    ``line=None`` marks an error in no input text, such as a bad command-line
+    value, and the message then names no location."""
 
     def __init__(self, message, line=1, column=None):
         self.line = line
         self.column = column
-        where = f" (line {line}" + (f", column {column})" if column is not None else ")")
+        where = ""
+        if line is not None:
+            where = f" (line {line}" + (f", column {column})" if column is not None else ")")
         super().__init__(message + where)

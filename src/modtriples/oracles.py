@@ -60,7 +60,11 @@ def _divisors_of(n: int) -> list[int]:
 
 
 def rational_roots(ints: list[int]) -> list:
-    """All rational roots of an integer polynomial (exact)."""
+    """All rational roots of an integer polynomial (exact).
+
+    A candidate num/den in lowest terms is a root exactly when
+    den^n * f(num/den), a sum of integers, is zero; a candidate not in
+    lowest terms was met as its reduced form at a smaller numerator."""
     from fractions import Fraction
 
     if not ints:
@@ -72,17 +76,18 @@ def rational_roots(ints: list[int]) -> list:
     if shift:
         roots.append(Fraction(0))
         ints = ints[shift:]
+    top = ints[::-1]
     for num in _divisors_of(ints[0]):
         for den in _divisors_of(ints[-1]):
+            if math.gcd(num, den) != 1:
+                continue
             for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
+                acc, scale = 0, 1
+                for c in top:  # Horner on the homogenized form
+                    acc = acc * sign * num + c * scale
+                    scale *= den
                 if acc == 0:
-                    roots.append(cand)
+                    roots.append(Fraction(sign * num, den))
     return roots
 
 

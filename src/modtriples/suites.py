@@ -117,17 +117,17 @@ class SuiteConfig:
 
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
-            raise ParseError("seed must fit in 64 unsigned bits")
+            raise ParseError("seed must fit in 64 unsigned bits", line=None)
         if self.height_bound >= 2**64:  # coefficients this large cost without bound to print
-            raise ParseError("height bound must fit in 64 unsigned bits")
+            raise ParseError("height bound must fit in 64 unsigned bits", line=None)
         if self.samples < 1 or self.degree_bound < 1 or self.height_bound < 1:
-            raise ParseError("samples and bounds must be at least one")
+            raise ParseError("samples and bounds must be at least one", line=None)
         if self.degree_bound > MAX_DEGREE:  # the degree cap of a parsed map
-            raise ParseError(f"degree bound above {MAX_DEGREE}")
+            raise ParseError(f"degree bound above {MAX_DEGREE}", line=None)
         names = self.resolved_suites()
         for name in names:
             if name not in SUITES:
-                raise ParseError(f"unknown suite identifier {name!r}")
+                raise ParseError(f"unknown suite identifier {name!r}", line=None)
 
     def resolved_suites(self) -> tuple[str, ...]:
         if "all" in self.suites:

@@ -94,6 +94,21 @@ class TestExitCodes:
         assert "ParseError: height bound must fit in 64 unsigned bits" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--seed", "-1"], "seed must fit in 64 unsigned bits"),
+            (["--samples", "0"], "samples and bounds must be at least one"),
+            (["--degree-bound", "300"], "degree bound above 256"),
+            (["--suites", "nope"], "unknown suite identifier 'nope'"),
+        ],
+    )
+    def test_bad_suite_flag_names_no_line(self, capsys, flags, message):
+        # a command-line value is no input text, so the error names no line of one
+        assert main(["suite", "--samples", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"ParseError: {message}\n" in err and "(line" not in err
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             ([], "modtriples: error: the following arguments are required: command"),

@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
@@ -481,11 +482,15 @@ class TestIntegerLoci:
 
     @staticmethod
     def monic(locus: Locus) -> Poly:
-        """The locus polynomial as a monic Fraction Poly, after checking its form."""
-        coeffs = locus.poly
-        assert all(isinstance(c, int) for c in coeffs)
-        assert coeffs[-1] > 0 and math.gcd(*coeffs) == 1
-        return Poly(coeffs).monic()
+        """The full locus polynomial, ``poly`` times the forms of the known points, as a
+        monic Fraction Poly, after checking the form of each factor."""
+        full = ONE
+        for coeffs in (locus.poly, *locus.points):
+            assert type(coeffs) is tuple and all(isinstance(c, int) for c in coeffs)
+            assert coeffs[-1] > 0 and math.gcd(*coeffs) == 1
+            full = full * Poly(coeffs)
+        assert type(locus.points) is tuple and all(len(q) > 1 for q in locus.points)
+        return full.monic()
 
     @staticmethod
     def reference_preimage(f: RationalMap, points: list[ClosedPoint]) -> tuple[Poly, bool]:
@@ -496,11 +501,39 @@ class TestIntegerLoci:
             poly = poly * squarefree_part(g)
         return poly.monic(), inf
 
-    def random_locus(self, rng: random.Random) -> Locus:
+    def random_spec(self, rng: random.Random) -> tuple:
+        """(map, points) for a preimage locus, or (None, points) for the points' own."""
         f = self.random_map(rng)
         if f.is_constant or rng.random() < 0.2:
-            return points_locus(self.random_points(rng))
-        return preimage_locus(f, self.random_points(rng))
+            return None, self.random_points(rng)
+        return f, self.random_points(rng)
+
+    @staticmethod
+    def build(spec) -> Locus:
+        f, pts = spec
+        return points_locus(pts) if f is None else preimage_locus(f, pts)
+
+    @staticmethod
+    def cache_states(rng: random.Random, keys: list) -> Iterator[str]:
+        """Yields with the fiber cache cold (cleared), warm (the fiber of every
+        (map, point) key factored), then half-warm (a seeded half of them factored)."""
+        _fiber_cached.cache_clear()
+        yield "cold"
+        for f, p in keys:
+            pullback_divisor(f, Divisor.of(p))
+        yield "warm"
+        _fiber_cached.cache_clear()
+        for f, p in keys:
+            if rng.random() < 0.5:
+                pullback_divisor(f, Divisor.of(p))
+        yield "half-warm"
+
+    @classmethod
+    def three_states(cls, rng: random.Random, specs: list) -> Iterator[list[Locus]]:
+        """The loci of the specs built cold, warm and half-warm."""
+        keys = [(f, p) for f, pts in specs if f is not None for p in pts]
+        for _ in cls.cache_states(rng, keys):
+            yield [cls.build(spec) for spec in specs]
 
     def test_preimage_matches_fraction_product(self):
         rng = random.Random(61)
@@ -519,7 +552,7 @@ class TestIntegerLoci:
             assert loc.has_infinity == (f.value_at(INFINITY) in pts)
             for t in range(-4, 5):
                 hit = f.value_at(ClosedPoint.rational(t)) in pts
-                assert (Poly(loc.poly)(Fraction(t)) == 0) == hit
+                assert (self.monic(loc)(Fraction(t)) == 0) == hit
             checked += 1
         assert checked >= 200
 
@@ -537,32 +570,40 @@ class TestIntegerLoci:
             assert loc.is_empty == (not pts)
 
     def test_algebra_matches_fraction_gcds(self):
-        rng = random.Random(63)
+        # each triple of loci is built cold, warm and half-warm, so that the points
+        # known one by one differ, and every build must meet one reference
+        rng, warm_rng = random.Random(63), random.Random(64)
         empty = Locus()
         for _ in range(300):
-            a, b, c = (self.random_locus(rng) for _ in range(3))
-            pa, pb, pc = (self.monic(x) for x in (a, b, c))
-            # the one-division test needs squarefree locus polynomials
-            for p in (pa, pb, pc):
-                assert poly_gcd(p, derivative(p)) == ONE
-            # a in b u c: nothing of a is left after taking out b, then c
-            rest = pa // poly_gcd(pa, pb)
-            rest = rest // poly_gcd(rest, pc)
-            at_infinity = b.has_infinity or c.has_infinity or not a.has_infinity
-            assert locus_subset(a, b, c) == (rest.is_constant and at_infinity)
-            assert locus_subset(a, c, b) == locus_subset(a, b, c)
-            subset = pa.divides(pb) and (b.has_infinity or not a.has_infinity)
-            assert locus_subset(a, b) == subset
-            # the laws the position checks rely on, with a - b and a u b as covers
-            diff = Locus(
-                tuple((pa // poly_gcd(pa, pb)).int_primitive()[1]),
-                a.has_infinity and not b.has_infinity,
-            )
-            assert locus_subset(a, a, b) and locus_subset(b, a, b)
-            assert locus_subset(diff, a) and locus_subset(a, diff, b)
-            assert locus_subset(empty, a) and locus_subset(empty)
-            assert locus_subset(a, b, empty) == subset and locus_subset(a, a, empty)
-            assert locus_subset(a) == a.is_empty
+            specs = [self.random_spec(rng) for _ in range(3)]
+            reference = None
+            for a, b, c in self.three_states(warm_rng, specs):
+                pa, pb, pc = (self.monic(x) for x in (a, b, c))
+                if reference is None:
+                    # the division tests need squarefree full locus polynomials
+                    for p in (pa, pb, pc):
+                        assert poly_gcd(p, derivative(p)) == ONE
+                    # a in b u c: nothing of a is left after taking out b, then c
+                    rest = pa // poly_gcd(pa, pb)
+                    rest = rest // poly_gcd(rest, pc)
+                    at_infinity = b.has_infinity or c.has_infinity or not a.has_infinity
+                    subset = pa.divides(pb) and (b.has_infinity or not a.has_infinity)
+                    reference = (pa, pb, pc, rest.is_constant and at_infinity, subset)
+                assert (pa, pb, pc) == reference[:3]
+                in_union, subset = reference[3:]
+                assert locus_subset(a, b, c) == in_union
+                assert locus_subset(a, c, b) == locus_subset(a, b, c)
+                assert locus_subset(a, b) == subset
+                # the laws the position checks rely on, with a - b and a u b as covers
+                diff = Locus(
+                    tuple((pa // poly_gcd(pa, pb)).int_primitive()[1]),
+                    a.has_infinity and not b.has_infinity,
+                )
+                assert locus_subset(a, a, b) and locus_subset(b, a, b)
+                assert locus_subset(diff, a) and locus_subset(a, diff, b)
+                assert locus_subset(empty, a) and locus_subset(empty)
+                assert locus_subset(a, b, empty) == subset and locus_subset(a, a, empty)
+                assert locus_subset(a) == a.is_empty
 
     @classmethod
     def reference_positions(cls, alpha) -> list[tuple[bool, bool]]:
@@ -608,7 +649,9 @@ class TestIntegerLoci:
         return ref_subset(lhs, hit_minus)
 
     def test_positions_and_transfer_match_subtract_then_subset(self):
-        rng = random.Random(64)
+        # each verdict is read cold, warm and half-warm, since the loci behind it
+        # hold the points their fibers know
+        rng, warm_rng = random.Random(64), random.Random(65)
         cfg = suites.SuiteConfig(seed=64, samples=1, degree_bound=3)
         pool = suites.point_pool()
         cycles = []
@@ -639,14 +682,18 @@ class TestIntegerLoci:
                 (*random_ends(), list(cycle.components) + diagonal),
             ):
                 moved = Cycle(s, t, comps)
-                verdicts = [v for v in position_classify(moved) if not v.component.b.is_constant]
-                got = [(v.very_good, v.excellent) for v in verdicts]
-                assert got == self.reference_positions(moved)
-                seen.update(("position",) + g for g in got)
-                for comp in moved.components:
-                    holds = suites.minus_transfer_holds(comp, s, t)
-                    assert holds == self.reference_minus_transfer(comp, s, t)
-                    seen.add(("transfer", holds))
+                positions = self.reference_positions(moved)
+                transfers = [self.reference_minus_transfer(comp, s, t) for comp in comps]
+                keys = [(h, p) for comp in comps for h, end in ((comp.a, s), (comp.b, t)) if not h.is_constant
+                        for p in sorted(end.plus.support() | end.minus.support() | end.total.boundary,
+                                        key=lambda p: p.sort_key())]
+                for _ in self.cache_states(warm_rng, keys):
+                    verdicts = [v for v in position_classify(moved) if not v.component.b.is_constant]
+                    got = [(v.very_good, v.excellent) for v in verdicts]
+                    assert got == positions
+                    assert [suites.minus_transfer_holds(comp, s, t) for comp in comps] == transfers
+                seen.update(("position",) + g for g in positions)
+                seen.update(("transfer", holds) for holds in transfers)
         assert seen >= {
             ("position", False, False), ("position", True, False), ("position", True, True),
             ("transfer", False), ("transfer", True),
@@ -853,13 +900,15 @@ class TestFiberRecords:
     @staticmethod
     def answers(f, point, g, other, order):
         """The three consumers' answers for f over point, asked in the given
-        order; the comparison is of f*[point] against g*[other]."""
+        order; the comparison is of f*[point] against g*[other], and the locus
+        is read as its full product, which does not depend on what is known."""
         out = {}
         for name in order:
             if name == "pullback":
                 out[name] = pullback_divisor(f, Divisor.of(point))
             elif name == "locus":
-                out[name] = preimage_locus(f, [point, other])
+                loc = preimage_locus(f, [point, other])
+                out[name] = (TestIntegerLoci.monic(loc), loc.has_infinity)
             else:
                 cmp = PullbackComparison()
                 cmp.add_pullback(f, Divisor.of(point), +1)
@@ -894,7 +943,6 @@ class TestFiberRecords:
                 # parts are gone once the points exist
                 assert all(type(v) is tuple for v in (rec.ints, rec.squarefree(), rec.points(h, pt)))
                 assert rec._parts is None
-            assert type(cold["locus"].poly) is tuple
             seen["pairs"] += 1
             seen["ramified"] += any(m > 1 for _, m in cold["pullback"])
             seen["effective"] += cold["comparison"]
@@ -1045,6 +1093,68 @@ class TestFiberRecords:
             levels["none" if expected is None else "zero" if expected == 0 else "positive"] += 1
         assert min(seen.values()) >= 15, seen
         assert min(levels.values()) >= 15, levels
+
+    @staticmethod
+    def subset_cases(a: Locus, covers: list[Locus]) -> set[str]:
+        """How the points known one by one meet the unfactored forms in a ⊆ ∪ covers,
+        read with Fraction arithmetic on the loci as built."""
+        points = {q for c in covers for q in c.points}
+        forms = [Poly(c.poly) for c in covers if len(c.poly) > 1]
+        cases = set()
+        if any(q not in points and any(Poly(q).divides(g) for g in forms) for q in a.points):
+            cases.add("known point in a cover form")
+        rest = Poly(a.poly)
+        for q in points:
+            if Poly(q).divides(rest):
+                cases.add("cover point in a.poly")
+                rest = rest // Poly(q)
+        if "cover point in a.poly" in cases and not rest.is_constant:
+            cases.add("cover points and forms")  # when a lies in the union
+        return cases
+
+    def test_subset_across_cache_states(self):
+        # F = q^m (x + a) + b pulls b back to R, the root of q, and to -a, and
+        # G = (x + a)(x + e) + c pulls c back to -a and -e: both stay forms until
+        # their records are factored.  R is known as the fiber of the identity or of
+        # a Moebius map mu over mu(R), and -a as a point.  Each inclusion among these
+        # loci, now and then with a random locus beside them, is decided cold, warm
+        # and half-warm against the sets of the factored pullbacks
+        rng, warm_rng = random.Random(97), random.Random(98)
+        finite = [p for p in TestIntegerLoci.POOL if not p.is_infinity]
+        seen = {"known point in a cover form": 0, "cover point in a.poly": 0, "cover points and forms": 0,
+                "moebius": 0}
+        verdicts = {True: 0, False: 0}
+        for _ in range(200):
+            r, m = rng.choice(finite), rng.randint(1, 2)
+            a, b, c, e = (rng.randint(-3, 3) for _ in range(4))
+            big_f = rmap(Poly(r.ints) ** m * (X + Poly.constant(a)) + Poly.constant(b))
+            g = rmap((X + Poly.constant(a)) * (X + Poly.constant(e)) + Poly.constant(c))
+            mu = rng.choice([RationalMap.identity(), *self.MOEBIUS])
+            over_r = (mu, [point_image(mu, r)])
+            over_b, over_c = (big_f, [ClosedPoint.rational(b)]), (g, [ClosedPoint.rational(c)])
+            minus_a = (None, [ClosedPoint.rational(-a)])
+            a_spec, covers = rng.choice([
+                (over_r, [over_b]), (over_r, [over_c, minus_a]), (over_b, [over_r, minus_a]),
+                (over_b, [over_r, over_c]), (over_b, [over_r]), (over_b, [over_c]),
+            ])
+            if rng.random() < 0.3:
+                covers = covers + [TestIntegerLoci().random_spec(rng)]
+            rng.shuffle(covers)
+            specs = [a_spec, *covers]
+            expected = None
+            for built in TestIntegerLoci.three_states(warm_rng, specs):
+                if expected is None:  # the reference factors every fiber
+                    sets = [set(pts) if h is None else pullback_divisor(h, Divisor((p, 1) for p in pts)).support()
+                            for h, pts in specs]
+                    expected = sets[0] <= set().union(*sets[1:])
+                assert locus_subset(*built) == expected
+                if expected:
+                    for case in self.subset_cases(built[0], built[1:]):
+                        seen[case] += 1
+            seen["moebius"] += not mu.is_identity and mu in (a_spec[0], *(h for h, _ in covers))
+            verdicts[expected] += 1
+        assert min(seen.values()) >= 15, seen
+        assert min(verdicts.values()) >= 15, verdicts
 
     def test_fiber_data_rejects_constant_maps(self):
         with pytest.raises(DegenerateInput):
