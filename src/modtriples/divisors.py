@@ -11,8 +11,8 @@ Pullbacks are computed through the homogenized degree form so that the
 point at infinity needs no chart swap: for a finite point with minimal
 polynomial p, the fiber polynomial of f = num/den is den^deg(p) *
 p(num/den) and the missing degree sits at infinity.  Each (map, point)
-pair has one cached fiber record over Z[x]: the fiber form, then its
-squarefree part and its points, each computed once.
+pair has one cached fiber record over Z[x]: the fiber form and the deficit
+at infinity, then, on first use, its points.
 """
 
 from __future__ import annotations
@@ -482,36 +482,23 @@ def multiply_maps(f: RationalMap, g: RationalMap) -> RationalMap:
 class _Fiber:
     """The fiber of a nonconstant map over a point: ``ints``, the primitive integer fiber
     form (ascending, positive leading coefficient), and ``k``, the deficit at infinity.
-    Its squarefree part and points are filled in on first use by one run of Yun, whose
-    parts a ramified fiber keeps until its points are built; a Moebius map needs none."""
+    Its points are filled in on first use, by one run of Yun and the factoring kernel;
+    under a Moebius map the fiber form is its one point."""
 
-    __slots__ = ("ints", "k", "_sqf", "_parts", "_points")
+    __slots__ = ("ints", "k", "_points")
 
-    def __init__(self, ints: tuple[int, ...], k: int, moebius: bool):
-        self.ints, self.k, self._parts = ints, k, None
-        self._sqf = ints if moebius or len(ints) == 1 else None
+    def __init__(self, ints: tuple[int, ...], k: int):
+        self.ints, self.k = ints, k
         self._points = () if len(ints) == 1 else None
-
-    def squarefree(self) -> tuple[int, ...]:
-        if self._sqf is None:
-            parts = _zyun(self.ints)
-            if len(parts) == 1 and parts[0][0] == 1:
-                self._sqf = self.ints
-            else:
-                self._sqf, self._parts = tuple(reduce(_zmul, [p for _, p in parts])), parts
-        return self._sqf
 
     def points(self, f: RationalMap, point: ClosedPoint) -> tuple[tuple[ClosedPoint, int], ...]:
         if self._points is None:
             if f.degree == 1:
                 self._points = ((ClosedPoint(self.ints), 1),)
             else:
-                sqf = self.squarefree()  # Yun, unless the squarefree part is known
-                parts = self._parts or [(1, sqf)]
                 # over infinity or a rational point the fiber form is its own fiber
                 fiber = None if point.degree == 1 else (point.ints, f.nz, f.dz)
-                self._points = tuple((ClosedPoint(q), m) for q, m in _factor_fiber(parts, fiber))
-                self._parts = None
+                self._points = tuple((ClosedPoint(q), m) for q, m in _factor_fiber(_zyun(self.ints), fiber))
         return self._points
 
     def known(self, f: RationalMap) -> Optional[list[tuple[tuple[int, ...], int]]]:
@@ -543,13 +530,13 @@ def _fiber_cached(f: RationalMap, point: ClosedPoint) -> _Fiber:
     if d * point.degree > MAX_FIBER_DEGREE:  # checked before the fiber form is built
         raise DegenerateInput(f"fiber of degree {d * point.degree} above the cap {MAX_FIBER_DEGREE}")
     if point.is_infinity:
-        return _Fiber(tuple(_zprimitive(f.dz)), d + 1 - len(f.dz), d == 1)
+        return _Fiber(tuple(_zprimitive(f.dz)), d + 1 - len(f.dz))
     # the point's integer form at (num, den): a constant factor is harmless
     e = point.degree
     acc = _zhomog(point.ints, f.nz, f.dz, e)
     if not acc:
         raise ArithmeticError("fiber form vanished; num/den were not coprime")
-    return _Fiber(tuple(_zprimitive(acc)), d * e - (len(acc) - 1), d == 1)
+    return _Fiber(tuple(_zprimitive(acc)), d * e - (len(acc) - 1))
 
 
 def pullback_divisor(f: RationalMap, divisor: Divisor) -> Divisor:
@@ -678,7 +665,7 @@ def canonical_split(d: Divisor) -> tuple[Divisor, Divisor]:
 
 
 # ---------------------------------------------------------------------------
-# loci: reduced preimage sets, as known points and a squarefree polynomial
+# loci: reduced preimage sets, as the fiber records that make them up
 # ---------------------------------------------------------------------------
 
 
@@ -686,75 +673,53 @@ def canonical_split(d: Divisor) -> tuple[Divisor, Divisor]:
 class Locus:
     """A finite Galois-stable set of closed points of the line.
 
-    ``points`` holds the primitive integer forms of the points known
-    one by one, and ``poly`` is the primitive squarefree product of the
-    others, left unfactored, coprime to each of them; all have positive
-    leading coefficients and ascending coefficients.  ``has_infinity``
+    ``fibers`` holds the nonempty finite fibers whose points make up the
+    set, as (map, point, fiber record) triples, and ``has_infinity``
     flags the point at infinity.  ``Locus()`` is the empty locus.
     """
 
-    poly: tuple[int, ...] = (1,)
+    fibers: tuple[tuple[RationalMap, ClosedPoint, _Fiber], ...] = ()
     has_infinity: bool = False
-    points: tuple[tuple[int, ...], ...] = ()
 
     @property
     def is_empty(self) -> bool:
-        return len(self.poly) == 1 and not self.points and not self.has_infinity
-
-
-# Products of primitive polynomials with positive leading coefficients are
-# again such (Gauss's lemma), so loci need no normalization, and a primitive
-# a divides an integral b over Q exactly when it divides it over Z: inclusion
-# needs exact divisions in Z[x] only, with no gcd.
+        return not self.fibers and not self.has_infinity
 
 
 def points_locus(points: Iterable[ClosedPoint]) -> Locus:
-    forms = tuple(p.ints for p in points)  # None at infinity
-    return Locus((1,), None in forms, tuple(q for q in forms if q is not None))
+    return preimage_locus(RationalMap.identity(), points)
 
 
 def preimage_locus(f: RationalMap, points: Iterable[ClosedPoint]) -> Locus:
     """{n : f(n) in points}, as a locus on the source line; f must be nonconstant.
-    A fiber whose points are known (``_Fiber.known``) gives them, and the
-    squarefree parts of the others are multiplied into ``poly``."""
+    It records the fiber of f over each point, as the fiber cache holds it."""
     if f.is_constant:
         raise DegenerateInput("preimage locus needs a nonconstant map")
-    acc = [1]
-    known: list[tuple[int, ...]] = []
+    fibers = []
     inf = False
     for p in points:
         fiber = _fiber_cached(f, p)
-        if fiber.k > 0:
-            inf = True
+        inf = inf or fiber.k > 0
         if len(fiber.ints) > 1:
-            forms = fiber.known(f)
-            if forms is None:
-                acc = _zmul(acc, fiber.squarefree())
-            else:
-                known.extend(q for q, _ in forms)
-    # fibers of distinct points are disjoint, so the product is squarefree
-    return Locus(tuple(acc), inf, tuple(known))
+            fibers.append((f, p, fiber))
+    return Locus(tuple(fibers), inf)
 
 
 def locus_subset(a: Locus, *covers: Locus) -> bool:
     """a lies in the union of the covers, and infinity must lie in some cover.
 
-    A known point of a must be a cover point or divide a cover's ``poly``.
-    The cover points dividing a.poly are divided out, each at most once
-    since a.poly is squarefree, and the rest, squarefree, must divide the
-    product of the covers' unfactored forms."""
+    The finite part is one ``PullbackComparison``: each fiber of a weighs
+    -1 and the covers' fibers escape, so the sum is effective away from
+    the escapes exactly when every point of a lies in some cover."""
     if a.has_infinity and not any(c.has_infinity for c in covers):
         return False
-    points = {q for c in covers for q in c.points}
-    forms = [c.poly for c in covers if len(c.poly) > 1]
-    for q in a.points:
-        if q not in points and all(_zdiv_exact(g, q) is None for g in forms):
-            return False
-    rest = a.poly
-    for q in points:
-        if len(q) <= len(rest):
-            rest = _zdiv_exact(rest, q) or rest  # a quotient is never empty
-    return len(rest) == 1 or _zdiv_exact(reduce(_zmul, forms, [1]), rest) is not None
+    cmp = PullbackComparison()
+    for f, p, fiber in a.fibers:
+        cmp._entry(f, p, fiber)[0] -= 1
+    for c in covers:
+        for f, p, fiber in c.fibers:
+            cmp._entry(f, p, fiber)[2] = True
+    return cmp.effective()
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +761,7 @@ class PullbackComparison:
             self._inf_coeff += sign * mult * fiber.k
             self._inf_slope += slope * mult * fiber.k
             if len(fiber.ints) > 1:
-                entry = self._fibers.setdefault((f, point), [0, 0, False, fiber])
+                entry = self._entry(f, point, fiber)
                 entry[0] += sign * mult
                 entry[1] += slope * mult
 
@@ -806,7 +771,10 @@ class PullbackComparison:
             if fiber.k > 0:
                 self._inf_escaped = True
             if len(fiber.ints) > 1:
-                self._fibers.setdefault((f, point), [0, 0, False, fiber])[2] = True
+                self._entry(f, point, fiber)[2] = True
+
+    def _entry(self, f: RationalMap, point: ClosedPoint, fiber: _Fiber) -> list:
+        return self._fibers.setdefault((f, point), [0, 0, False, fiber])
 
     def effective(self) -> bool:
         return self.least_level() == 0

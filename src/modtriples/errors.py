@@ -77,10 +77,12 @@ class CertificationError(SymbolicError):
 class ParseError(SymbolicError):
     """Text or JSON input did not match the published grammar/schema.
 
-    ``line=None`` marks an error in no input text, such as a bad command-line
-    value, and the message then names no location."""
+    ``line`` and ``column`` locate the error in the input text: JSON syntax
+    errors and errors at a token of a literal carry them.  An error with no
+    place in the text, such as a bad command-line value or a schema error in
+    a parsed document, keeps ``line=None``, and the message names no place."""
 
-    def __init__(self, message, line=1, column=None):
+    def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
         where = ""

@@ -97,7 +97,7 @@ class _Tokens:
         self.offset, self.token = (m.start(), m.group()) if m else (len(self.text), "")
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, column=self.offset + 1)
+        return ParseError(message, line=1, column=self.offset + 1)
 
     def take(self, expected: str) -> None:
         if self.token != expected:

@@ -284,27 +284,39 @@ def _zgcd(a: list[int], b: list[int]) -> list[int]:
         return b
     if not b:
         return a
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) > 1:
+    if len(a) > 1 and len(b) > 1:
         for p in _FILTER_PRIMES:
             if a[-1] % p and b[-1] % p:
                 if len(_pgcd(a, b, p)) == 1:
                     return [1]
                 break
-    g, h = 1, 1
+    return _zprimitive(_zsubresultant(a, b)[1])
+
+
+def _zsubresultant(a: list[int], b: list[int]) -> tuple[list[int], list[int], int, int]:
+    """The subresultant pseudo-remainder sequence of nonzero a and b, the longer first,
+    run until a remainder vanishes or is constant.  Returns (a, b, h, sign): b is the
+    last nonzero remainder, a constant exactly when the inputs are coprime, a the one
+    before it, h the sequence's scale and sign the product of (-1)^(deg a * deg b) over
+    its swaps and steps; the last three give the resultant."""
+    g = h = sign = 1
+    if len(a) < len(b):
+        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
+            sign = -sign
+        a, b = b, a
     while True:
         delta = len(a) - len(b)
+        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
+            sign = -sign
         rem = _zprem(a, b)
         if not rem:
-            return _zprimitive(b)
-        if len(rem) == 1:
-            return [1]
+            return a, b, h, sign
         a, b = b, [c // (g * h**delta) for c in rem]
         g = a[-1]
         if delta:
-            h = g**delta // h ** (delta - 1) if delta > 1 else g
-    # unreachable
+            h = g if delta == 1 else g**delta // h ** (delta - 1)
+        if len(b) == 1:
+            return a, b, h, sign
 
 
 def _zderiv(a: list[int]) -> list[int]:
@@ -823,28 +835,8 @@ def resultant(a: Poly, b: Poly) -> Fraction:
 
 
 def _zresultant(a: list[int], b: list[int]) -> Fraction:
-    sign = 1
-    if len(a) < len(b):
-        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
-            sign = -sign
-        a, b = b, a
-    g, h = 1, 1
-    while True:
-        delta = len(a) - len(b)
-        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
-            sign = -sign
-        rem = _zprem(a, b)
-        if not rem:
-            return Fraction(0)
-        divisor = g * h**delta
-        a, b = b, [c // divisor for c in rem]
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g**delta // h ** (delta - 1)
-        if len(b) == 1:
-            break
+    a, b, h, sign = _zsubresultant(a, b)
+    if len(b) > 1:
+        return Fraction(0)
     da = len(a) - 1
-    value = Fraction(b[0] ** da, h ** (da - 1)) if da >= 1 else Fraction(b[0])
-    return sign * value
+    return sign * (Fraction(b[0] ** da, h ** (da - 1)) if da >= 1 else Fraction(b[0]))

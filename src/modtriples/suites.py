@@ -117,17 +117,17 @@ class SuiteConfig:
 
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
-            raise ParseError("seed must fit in 64 unsigned bits", line=None)
+            raise ParseError("seed must fit in 64 unsigned bits")
         if self.height_bound >= 2**64:  # coefficients this large cost without bound to print
-            raise ParseError("height bound must fit in 64 unsigned bits", line=None)
+            raise ParseError("height bound must fit in 64 unsigned bits")
         if self.samples < 1 or self.degree_bound < 1 or self.height_bound < 1:
-            raise ParseError("samples and bounds must be at least one", line=None)
+            raise ParseError("samples and bounds must be at least one")
         if self.degree_bound > MAX_DEGREE:  # the degree cap of a parsed map
-            raise ParseError(f"degree bound above {MAX_DEGREE}", line=None)
+            raise ParseError(f"degree bound above {MAX_DEGREE}")
         names = self.resolved_suites()
         for name in names:
             if name not in SUITES:
-                raise ParseError(f"unknown suite identifier {name!r}", line=None)
+                raise ParseError(f"unknown suite identifier {name!r}")
 
     def resolved_suites(self) -> tuple[str, ...]:
         if "all" in self.suites:

@@ -109,6 +109,32 @@ class TestExitCodes:
         assert f"ParseError: {message}\n" in err and "(line" not in err
 
     @pytest.mark.parametrize(
+        "argv,text,message",
+        [
+            (["check", "class", "--triple"],
+             '{"total": {"kind": "proper"},\n "plus": "1*P(inf)",\n "minus": 5\n}',
+             "expected a string, not int"),
+            (["check", "admissible", "--cycle"],
+             '{"source": %s,\n "target": %s,\n "components": [{"a": {"num": "x"},\n   "b": 7}]}' % (BOX, BOX),
+             "a map is a JSON object"),
+        ],
+        ids=["triple", "cycle"],
+    )
+    def test_schema_error_names_no_line(self, files, capsys, argv, text, message):
+        # the offending value sits on line 3 or 4 of the document, but a schema error is
+        # found in the parsed document, which keeps no lines, so it names none
+        assert text.count("\n") >= 3
+        assert main([*argv, files("doc.json", text)]) == 2
+        err = capsys.readouterr().err
+        assert f"ParseError: {message}\n" in err and "(line" not in err
+
+    def test_literal_error_names_its_column(self, files, capsys):
+        # a literal is one line of text, so its errors keep their place in it
+        doc = files("doc.json", '{"total": {"kind": "proper"},\n "plus": "1*P(x^2 -",\n "minus": "0"\n}')
+        assert main(["check", "class", "--triple", doc]) == 2
+        assert "(line 1, column " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             ([], "modtriples: error: the following arguments are required: command"),

@@ -437,7 +437,8 @@ class TestIntegerLoci:
 
     References are monic Fraction polynomials built with Poly arithmetic:
     the product of the squarefree parts of the fibers, and gcd, exact
-    division and divisibility over Q.
+    division and divisibility over Q.  A locus is read through the same
+    product, taken in the test over the fiber forms it records.
     """
 
     POOL = [
@@ -482,15 +483,24 @@ class TestIntegerLoci:
 
     @staticmethod
     def monic(locus: Locus) -> Poly:
-        """The full locus polynomial, ``poly`` times the forms of the known points, as a
-        monic Fraction Poly, after checking the form of each factor."""
+        """The full locus polynomial, the product of the squarefree parts of the fiber forms
+        the locus records, as a monic Fraction Poly, after checking the form of each record.
+        It reads the records' forms only, so it factors nothing."""
         full = ONE
-        for coeffs in (locus.poly, *locus.points):
-            assert type(coeffs) is tuple and all(isinstance(c, int) for c in coeffs)
-            assert coeffs[-1] > 0 and math.gcd(*coeffs) == 1
-            full = full * Poly(coeffs)
-        assert type(locus.points) is tuple and all(len(q) > 1 for q in locus.points)
+        assert type(locus.fibers) is tuple
+        for f, p, rec in locus.fibers:
+            coeffs = rec.ints
+            assert type(coeffs) is tuple and all(type(c) is int for c in coeffs)
+            assert len(coeffs) > 1 and coeffs[-1] > 0 and math.gcd(*coeffs) == 1
+            assert isinstance(f, RationalMap) and not f.is_constant and isinstance(p, ClosedPoint)
+            full = full * squarefree_part(Poly(coeffs))
         return full.monic()
+
+    @staticmethod
+    def point_set(locus: Locus) -> set[ClosedPoint]:
+        """The closed points of the locus, read off its factored fibers."""
+        points = {q for f, p, rec in locus.fibers for q, _ in rec.points(f, p)}
+        return points | ({INFINITY} if locus.has_infinity else set())
 
     @staticmethod
     def reference_preimage(f: RationalMap, points: list[ClosedPoint]) -> tuple[Poly, bool]:
@@ -548,6 +558,9 @@ class TestIntegerLoci:
             loc = preimage_locus(f, pts)
             poly, inf = self.reference_preimage(f, pts)
             assert (self.monic(loc), loc.has_infinity) == (poly, inf)
+            # the points of the locus are those of the reference product
+            expected = {ClosedPoint.finite(q) for q, _ in factor(poly)} | ({INFINITY} if inf else set())
+            assert self.point_set(loc) == expected
             # and as sets: a rational t lies in the locus iff f(t) is one of the points
             assert loc.has_infinity == (f.value_at(INFINITY) in pts)
             for t in range(-4, 5):
@@ -568,6 +581,7 @@ class TestIntegerLoci:
             assert self.monic(loc) == expected
             assert loc.has_infinity == (INFINITY in pts)
             assert loc.is_empty == (not pts)
+            assert self.point_set(loc) == set(pts)
 
     def test_algebra_matches_fraction_gcds(self):
         # each triple of loci is built cold, warm and half-warm, so that the points
@@ -595,10 +609,8 @@ class TestIntegerLoci:
                 assert locus_subset(a, c, b) == locus_subset(a, b, c)
                 assert locus_subset(a, b) == subset
                 # the laws the position checks rely on, with a - b and a u b as covers
-                diff = Locus(
-                    tuple((pa // poly_gcd(pa, pb)).int_primitive()[1]),
-                    a.has_infinity and not b.has_infinity,
-                )
+                diff_points = [ClosedPoint.finite(q) for q, _ in factor(pa // poly_gcd(pa, pb))]
+                diff = points_locus(diff_points + ([INFINITY] if a.has_infinity and not b.has_infinity else []))
                 assert locus_subset(a, a, b) and locus_subset(b, a, b)
                 assert locus_subset(diff, a) and locus_subset(a, diff, b)
                 assert locus_subset(empty, a) and locus_subset(empty)
@@ -939,10 +951,8 @@ class TestFiberRecords:
             assert cold["comparison"] == (cold["pullback"] - pulled_g).is_effective
             for h, pt in ((f, point), (f, other), (g, other)):
                 rec = _fiber_cached(h, pt)
-                # every value the record hands out is immutable, and the Yun
-                # parts are gone once the points exist
-                assert all(type(v) is tuple for v in (rec.ints, rec.squarefree(), rec.points(h, pt)))
-                assert rec._parts is None
+                # every value the record hands out is immutable
+                assert all(type(v) is tuple for v in (rec.ints, rec.points(h, pt)))
             seen["pairs"] += 1
             seen["ramified"] += any(m > 1 for _, m in cold["pullback"])
             seen["effective"] += cold["comparison"]
@@ -1096,20 +1106,36 @@ class TestFiberRecords:
 
     @staticmethod
     def subset_cases(a: Locus, covers: list[Locus]) -> set[str]:
-        """How the points known one by one meet the unfactored forms in a ⊆ ∪ covers,
-        read with Fraction arithmetic on the loci as built."""
-        points = {q for c in covers for q in c.points}
-        forms = [Poly(c.poly) for c in covers if len(c.poly) > 1]
+        """The routes by which the comparison behind a ⊆ ∪ covers meets a's fibers: a
+        known point of a inside a cover's unfactored form, a cover's known point divided
+        out of a form of a, and a form of a that keeps a factor past the known points,
+        which the gcd-free basis takes.  Read with Fraction arithmetic on the fiber
+        records as they stand, each known or not by ``_Fiber.known``, as the comparison
+        reads it."""
+        def split(loci):
+            points, forms = set(), []
+            for loc in loci:
+                for f, _, rec in loc.fibers:
+                    known = rec.known(f)
+                    if known is None:
+                        forms.append(ref(squarefree_part(Poly(rec.ints))))
+                    else:
+                        points.update(q for q, _ in known)
+            return points, forms
+
+        (a_points, a_forms), (points, forms) = split([a]), split(covers)
         cases = set()
-        if any(q not in points and any(Poly(q).divides(g) for g in forms) for q in a.points):
+        if any(q not in points and any(Poly(q).divides(g) for g in forms) for q in a_points):
             cases.add("known point in a cover form")
-        rest = Poly(a.poly)
-        for q in points:
-            if Poly(q).divides(rest):
-                cases.add("cover point in a.poly")
-                rest = rest // Poly(q)
-        if "cover point in a.poly" in cases and not rest.is_constant:
-            cases.add("cover points and forms")  # when a lies in the union
+        for rest in a_forms:
+            divided = False
+            for q in points:
+                if Poly(q).divides(rest):
+                    divided, rest = True, rest // Poly(q)
+            if divided:
+                cases.add("cover point in a form of a")
+                if not rest.is_constant:
+                    cases.add("cover points and forms")
         return cases
 
     def test_subset_across_cache_states(self):
@@ -1121,7 +1147,7 @@ class TestFiberRecords:
         # and half-warm against the sets of the factored pullbacks
         rng, warm_rng = random.Random(97), random.Random(98)
         finite = [p for p in TestIntegerLoci.POOL if not p.is_infinity]
-        seen = {"known point in a cover form": 0, "cover point in a.poly": 0, "cover points and forms": 0,
+        seen = {"known point in a cover form": 0, "cover point in a form of a": 0, "cover points and forms": 0,
                 "moebius": 0}
         verdicts = {True: 0, False: 0}
         for _ in range(200):
@@ -1141,17 +1167,58 @@ class TestFiberRecords:
                 covers = covers + [TestIntegerLoci().random_spec(rng)]
             rng.shuffle(covers)
             specs = [a_spec, *covers]
-            expected = None
-            for built in TestIntegerLoci.three_states(warm_rng, specs):
-                if expected is None:  # the reference factors every fiber
-                    sets = [set(pts) if h is None else pullback_divisor(h, Divisor((p, 1) for p in pts)).support()
-                            for h, pts in specs]
-                    expected = sets[0] <= set().union(*sets[1:])
-                assert locus_subset(*built) == expected
+            # each verdict and its routes are read before the reference factors the fibers
+            runs = [(locus_subset(*built), self.subset_cases(built[0], built[1:]))
+                    for built in TestIntegerLoci.three_states(warm_rng, specs)]
+            expected = self.reference_subset(specs)
+            for verdict, cases in runs:
+                assert verdict == expected
                 if expected:
-                    for case in self.subset_cases(built[0], built[1:]):
+                    for case in cases:
                         seen[case] += 1
             seen["moebius"] += not mu.is_identity and mu in (a_spec[0], *(h for h, _ in covers))
+            verdicts[expected] += 1
+        assert min(seen.values()) >= 15, seen
+        assert min(verdicts.values()) >= 15, verdicts
+
+    @staticmethod
+    def reference_subset(specs) -> bool:
+        """The first spec's locus lies in the union of the others', on factored pullbacks."""
+        sets = [set(pts) if h is None else pullback_divisor(h, Divisor((p, 1) for p in pts)).support()
+                for h, pts in specs]
+        return sets[0] <= set().union(*sets[1:])
+
+    def test_subset_with_shared_keys(self):
+        # a and a cover record the fiber of one map over the same point, so the comparison
+        # holds that fiber in one entry that weighs -1 and escapes; each ramified map of
+        # TestIntegerLoci ramifies over 0, whose fiber stays a form until its record is
+        # factored.  a also takes fibers of its own, which a second cover, under the
+        # same map or another, may take; x ⊆ x must hold for every locus, and each
+        # verdict is read cold, warm and half-warm against the factored pullbacks
+        rng, warm_rng = random.Random(99), random.Random(100)
+        others = [p for p in TestIntegerLoci.POOL if p != P0]
+        seen = {"shared ramified form": 0, "shared known points": 0}
+        verdicts = {True: 0, False: 0}
+        for _ in range(80):
+            f = rng.choice(TestIntegerLoci.RAMIFIED)
+            picked = rng.sample(others, rng.randint(0, 5))
+            cut1, cut2 = sorted(rng.randint(0, len(picked)) for _ in range(2))
+            shared, own, cover_own = [P0, *picked[:cut1]], picked[cut1:cut2], picked[cut2:]
+            specs = [(f, shared + own), (f, shared + cover_own)]
+            roll = rng.random()
+            if roll < 0.3 and own:  # the same map over some of a's own points
+                specs.append((f, rng.sample(own, rng.randint(1, len(own)))))
+            elif roll < 0.5:
+                specs.append(TestIntegerLoci().random_spec(rng))
+            runs = []
+            for built in TestIntegerLoci.three_states(warm_rng, specs):
+                a = built[0]
+                unknown = any(p == P0 and rec.known(h) is None for h, p, rec in a.fibers)
+                runs.append((locus_subset(*built), locus_subset(a, a), locus_subset(a, *built[1:], a)))
+                seen["shared ramified form" if unknown else "shared known points"] += 1
+            expected = self.reference_subset(specs)
+            assert runs == [(expected, True, True)] * 3
+            assert any(m > 1 for _, m in pullback_divisor(f, Divisor.of(P0)))
             verdicts[expected] += 1
         assert min(seen.values()) >= 15, seen
         assert min(verdicts.values()) >= 15, verdicts
