@@ -483,7 +483,8 @@ class _Fiber:
     """The fiber of a nonconstant map over a point: ``ints``, the primitive integer fiber
     form (ascending, positive leading coefficient), and ``k``, the deficit at infinity.
     Its points are filled in on first use, by one run of Yun and the factoring kernel;
-    under a Moebius map the fiber form is its one point."""
+    under a Moebius map the fiber form is its one point, and under the identity that point
+    is the point the fiber lies over."""
 
     __slots__ = ("ints", "k", "_points")
 
@@ -494,7 +495,7 @@ class _Fiber:
     def points(self, f: RationalMap, point: ClosedPoint) -> tuple[tuple[ClosedPoint, int], ...]:
         if self._points is None:
             if f.degree == 1:
-                self._points = ((ClosedPoint(self.ints), 1),)
+                self._points = ((point if f.is_identity else ClosedPoint(self.ints), 1),)
             else:
                 # over infinity or a rational point the fiber form is its own fiber
                 fiber = None if point.degree == 1 else (point.ints, f.nz, f.dz)
@@ -531,6 +532,8 @@ def _fiber_cached(f: RationalMap, point: ClosedPoint) -> _Fiber:
         raise DegenerateInput(f"fiber of degree {d * point.degree} above the cap {MAX_FIBER_DEGREE}")
     if point.is_infinity:
         return _Fiber(tuple(_zprimitive(f.dz)), d + 1 - len(f.dz))
+    if f.is_identity:
+        return _Fiber(point.ints, 0)
     # the point's integer form at (num, den): a constant factor is harmless
     e = point.degree
     acc = _zhomog(point.ints, f.nz, f.dz, e)
@@ -804,10 +807,13 @@ class PullbackComparison:
                     entry[0] += c * m
                     entry[1] += e * m
                     entry[2] = entry[2] or escaped
-            # the known points inside an unfactored form take its terms and its escape
+            # the known points inside an unfactored form take its terms and its escape; a form
+            # that only escapes keeps a point escaped already, whose basis piece gets no terms
             rest: dict[tuple, list[int]] = {}
             for key, c, e, escaped, form in unknown:
                 for q, entry in known.items():
+                    if not (c or e) and entry[2]:
+                        continue
                     x, form = _divide_out(form, q)
                     if x:
                         entry[0] += c * x

@@ -7,14 +7,15 @@ terms, positive denominator).
 
 Factorization follows the classic route: squarefree decomposition
 (Yun, run over Z[x] on primitive integer coefficient lists, since it
-needs only gcds and exact quotients); distinct-degree factorization
-modulo a few small primes of good reduction, whose degree patterns
-often prove irreducibility outright (Musser), and Cantor-Zassenhaus
-splitting at the prime with the fewest factors, both computing mod
-(f, p) in one packed residue ring; quadratic Hensel lifting; and factor
-recombination, which raises DegenerateInput past a budget of
-MAX_RECOMBINATION_SUBSETS subsets.  Irreducibility alone is first tried
-by Eisenstein's criterion at the primes below 100, with no factoring.
+needs only gcds and exact quotients); factor degrees modulo a few small
+primes of good reduction (roots, then a DDF only where they leave it
+open), whose patterns often prove irreducibility outright (Musser); DDF
+and Cantor-Zassenhaus splitting at the prime with the fewest factors,
+both computing mod (f, p) in one packed residue ring; quadratic Hensel
+lifting; and factor recombination, which raises DegenerateInput past a
+budget of MAX_RECOMBINATION_SUBSETS subsets.  Irreducibility alone is
+first tried by Eisenstein's criterion at the primes below 100, with no
+factoring.
 
 A pullback fiber f = den^e * q(num/den) over a point q of degree e is,
 up to a constant, the norm from K = Q(θ), q(θ) = 0, of num - θ*den, so
@@ -23,8 +24,8 @@ Polynomials with Special Regard to Reducibility, 2000, §2.1, in Trager's
 norm form, SYMSAC 1976).  The degree patterns are read at the degree-one
 primes of K: a simple root r of q mod p lifts to an embedding K -> Q_p
 (Hensel), under which a factor of K-degree m reduces to a degree-m divisor
-of num - r*den mod p (Gauss's lemma over Z_p); then at the DDFs of f itself
-(``_patterns``).  A plain polynomial is the trivial fiber q = x.
+of num - r*den mod p (Gauss's lemma over Z_p); then at the factor degrees
+of f itself (``_patterns``).  A plain polynomial is the trivial fiber q = x.
 """
 
 from __future__ import annotations
@@ -585,12 +586,12 @@ def _primes() -> Iterator[int]:
             yield n
 
 
-def _patterns(f: list[int], q: list[int], num: list[int], den: list[int]) -> Iterator[tuple[int, list, set[int]]]:
-    """(p, DDF of a squarefree g mod p, degrees c) such that a factor of the fiber form f of
-    K-degree m reduces to a divisor of g of degree m*c for each c.  For a q of degree e >= 2
-    first g = num - r*den and c = 1 at each simple root r of q mod p, p not dividing lc(q),
-    where g keeps its degree: up to the fourth prime that gives a pattern, or the 32nd odd
-    prime, since a point may have no root mod any small prime (x^256 + 1 has none below
+def _patterns(f: list[int], q: list[int], num: list[int], den: list[int]) -> Iterator[tuple[int, list[int], set[int]]]:
+    """(p, factor degrees of a squarefree g mod p, degrees c) such that a factor of the fiber
+    form f of K-degree m reduces to a divisor of g of degree m*c for each c.  For a q of degree
+    e >= 2 first g = num - r*den and c = 1 at each simple root r of q mod p, p not dividing
+    lc(q), where g keeps its degree: up to the fourth prime that gives a pattern, or the 32nd
+    odd prime, since a point may have no root mod any small prime (x^256 + 1 has none below
     7681).  Then g = f at four primes of good reduction, with c = e (the whole factor) and,
     where q mod p keeps its degree and is squarefree, the degree of each prime of K over p."""
     e, k = len(q) - 1, max(len(num), len(den)) - 1
@@ -607,14 +608,24 @@ def _patterns(f: list[int], q: list[int], num: list[int], den: list[int]) -> Ite
                 g = _zsub(num, [r * c for c in den])
                 if len(g) == k + 1 and g[-1] % p and len(_pgcd(g, _zderiv(g), p)) == 1:
                     last = p
-                    yield p, _pddf(_pmonic(g, p), p), {1}
+                    yield p, _pdegrees(_pmonic(g, p), p), {1}
             found += last == p
     good = (p for p in _primes() if f[-1] % p and len(_pgcd(f, _zderiv(f), p)) == 1)
     for p in itertools.islice(good, 4):
         degrees = {e}
         if e > 1 and q[-1] % p and len(_pgcd(q, _zderiv(q), p)) == 1:
-            degrees |= {c for c, _ in _pddf(_pmonic(q, p), p)}
-        yield p, _pddf(_pmonic(f, p), p), degrees
+            degrees |= set(_pdegrees(_pmonic(q, p), p))
+        yield p, _pdegrees(_pmonic(f, p), p), degrees
+
+
+def _pdegrees(g: list[int], p: int) -> list[int]:
+    """The factor degrees of a monic squarefree g mod p, ascending: a rest without roots
+    among 0..p-1 is irreducible at degree 2 or 3, and only a larger one needs the DDF."""
+    n = len(g) - 1
+    roots = sum(1 for r in range(p) if not _peval(g, r, p))
+    if n - roots > 3:
+        return [d for d, h in _pddf(g, p) for _ in range((len(h) - 1) // d)]
+    return [1] * roots + [n - roots] * (n > roots)
 
 
 def _peval(a: list[int], r: int, p: int) -> int:
@@ -629,8 +640,8 @@ def _factor_squarefree_int(f: list[int], q: list[int], num: list[int], den: list
     f = c * den^e * q(num/den), q primitive irreducible of degree e, num and den coprime of
     degree deg(f) / e.  f is irreducible once no K-degree m < deg(f) / e survives every
     pattern (``_patterns``); else it is lifted at the one of its four primes of good
-    reduction with the fewest factors.  Any squarefree f is its own trivial fiber q = x,
-    num = f, den = 1.  A quadratic f is settled by its discriminant."""
+    reduction with the fewest factors, whose DDF is computed there.  Any squarefree f is its
+    own trivial fiber q = x, num = f, den = 1.  A quadratic f is settled by its discriminant."""
     n = len(f) - 1
     if n <= 1:
         return [f]
@@ -638,19 +649,18 @@ def _factor_squarefree_int(f: list[int], q: list[int], num: list[int], den: list
         return _split_quadratic(f)
     open_m = set(range(1, n // (len(q) - 1)))
     scanned = []
-    for p, ddf, degrees in _patterns(f, q, num, den):
+    for p, pattern, degrees in _patterns(f, q, num, den):
         sums = {0}
-        for d, g in ddf:
-            for _ in range((len(g) - 1) // d):
-                sums |= {s + d for s in sums}
+        for d in pattern:
+            sums |= {s + d for s in sums}
         for c in degrees:
             open_m = {m for m in open_m if m * c in sums}
         if not open_m:
             return [f]
-        scanned.append((p, ddf))
-    p, ddf = min(scanned[-4:], key=lambda s: sum((len(g) - 1) // d for d, g in s[1]))  # DDFs of f
+        scanned.append((len(pattern), p))
+    _, p = min(scanned[-4:])  # the patterns of f, primes ascending
     rng = random.Random(p)
-    parts = [r for d, g in ddf for r in _pedf(g, d, p, rng)]
+    parts = [r for d, g in _pddf(_pmonic(f, p), p) for r in _pedf(g, d, p, rng)]
     # lift to a modulus beyond twice the Mignotte factor bound
     norm2 = math.isqrt(sum(c * c for c in f)) + 1
     bound = 2 ** (n + 1) * norm2 * abs(f[-1])

@@ -909,6 +909,27 @@ class TestFiberRecords:
 
     CONSTANT = RationalMap.constant(P1)
 
+    def test_identity_fiber_is_the_point(self):
+        # the identity's fiber over a finite point is the point's own form with k = 0, the
+        # form the substitution den^e * q(num/den) gives, and its one point is that point
+        identity = RationalMap.identity()
+        points = [P0, P2, SQRT2, *map(ClosedPoint.finite, random_point_polys(random.Random(7), 12, (3, 6)))]
+        assert any(p.ints[-1] != 1 for p in points)
+        for point in points:
+            _fiber_cached.cache_clear()
+            cold = _fiber_cached(identity, point)
+            for rec in (cold, _fiber_cached(identity, point)):  # built, then cached
+                assert rec is cold
+                assert (rec.ints, rec.k) == (point.ints, 0)
+                assert list(rec.ints) == ratpoly._zprimitive(ratpoly._zhomog(point.ints, [0, 1], [1], point.degree))
+                assert rec.points(identity, point) == ((point, 1),)
+                assert rec.points(identity, point)[0][0] is point
+                assert rec.known(identity) == [(point.ints, 1)]
+            assert pullback_divisor(identity, Divisor.of((point, 3))) == Divisor.of((point, 3))
+        _fiber_cached.cache_clear()
+        rec = _fiber_cached(identity, INFINITY)  # over infinity the fiber is all deficit
+        assert (rec.ints, rec.k, rec.points(identity, INFINITY)) == ((1,), 1, ())
+
     @staticmethod
     def answers(f, point, g, other, order):
         """The three consumers' answers for f over point, asked in the given

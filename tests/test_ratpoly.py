@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modtriples import (
@@ -29,6 +29,7 @@ from modtriples.ratpoly import (
     _patterns,
     _pbezout,
     _pddf,
+    _pdegrees,
     _pdivmod,
     _pedf,
     _pgcd,
@@ -75,6 +76,11 @@ def eisenstein(q: int, d: int, rng: random.Random) -> Poly:
     low = [q * rng.randint(-3, 3) for _ in range(d)]
     low[0] = q * rng.choice([u for u in range(-4, 5) if u % q])
     return Poly(low + [1])
+
+
+def ddf_degrees(ddf: list[tuple[int, list[int]]]) -> list[int]:
+    """The factor degrees a DDF gives, ascending: d once for each factor of degree d."""
+    return [d for d, g in ddf for _ in range((len(g) - 1) // d)]
 
 
 small_polys = st.builds(
@@ -518,24 +524,69 @@ class TestRecombinationCap:
         assert time.perf_counter() - started < 2.0
 
 
+ODD_PRIMES_TO_137 = [p for p in range(3, 138, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+
+
+@st.composite
+def squarefree_mod_p(draw) -> tuple[list[int], int]:
+    """(g, p): g monic squarefree mod a prime 3 <= p <= 137, of degree 1 to 9, the product
+    of up to deg g distinct linear factors and a random monic rest, so many have many roots."""
+    p = draw(st.sampled_from(ODD_PRIMES_TO_137))
+    n = draw(st.integers(min_value=1, max_value=9))
+    k = draw(st.integers(min_value=0, max_value=min(n, p)))
+    roots = draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=k, max_size=k, unique=True))
+    g = draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=n - k, max_size=n - k)) + [1]
+    for r in roots:
+        g = _pmod(_zmul(g, [-r, 1]), p)
+    assume(len(_pgcd(g, _zderiv(g), p)) == 1)
+    return g, p
+
+
+class TestRootCountDegrees:
+    """``_pdegrees`` counts roots and reads a rootless rest of degree <= 3 as irreducible;
+    the degrees of the DDF it otherwise reads are the reference everywhere."""
+
+    @given(squarefree_mod_p())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_ddf_degrees(self, case):
+        g, p = case
+        assert _pdegrees(g, p) == ddf_degrees(_pddf(g, p))
+
+    @pytest.mark.parametrize(
+        "g,p,expected",
+        [
+            ([2, 1], 3, [1]),
+            ([1, 0, 1], 3, [2]),  # x^2 + 1, rootless mod 3
+            ([0, 2, 0, 1], 3, [1, 1, 1]),  # x^3 - x: every residue is a root
+            ([0, 2, 2, 0, 1], 3, [1, 3]),  # x(x^3 - x - 1)
+            ([1, 0, 0, 0, 1], 3, [2, 2]),  # x^4 + 1: rootless of degree 4, read off the DDF
+            ([2, 0, 0, 0, 0, 1], 3, [1, 4]),  # x^5 - 1 = (x - 1)(x^4 + x^3 + x^2 + x + 1)
+            ([0, 136] + [0] * 135 + [1], 137, [1] * 137),  # x^137 - x splits completely
+        ],
+    )
+    def test_fixed_inputs(self, g, p, expected):
+        assert _pdegrees(g, p) == ddf_degrees(_pddf(g, p)) == expected
+
+
 class TestRootPatterns:
     """The fiber certificate reads one pattern per simple root r of q mod p,
-    the DDF of num - r*den, kept only where it is sound; then the DDFs of the
-    fiber form f itself, with the degrees of the primes of K over p."""
+    the factor degrees of num - r*den, kept only where it is sound; then the
+    factor degrees of the fiber form f itself, with the degrees of the primes
+    of K over p."""
 
     @staticmethod
     def scan(q, num, den):
-        """(p, DDF, degrees) of every pattern, and the fiber form they certify."""
+        """(p, factor degrees, degrees c) of every pattern, and the fiber form they certify."""
         f = _zprimitive(_zhomog(q, num, den, len(q) - 1))
         return list(_patterns(f, q, num, den)), f
 
     @classmethod
     def roots(cls, q, num, den):
-        """(p, DDF) of the root patterns, which come first and carry the one degree 1."""
-        return [(p, ddf) for p, ddf, degrees in cls.scan(q, num, den)[0] if degrees == {1}]
+        """(p, factor degrees) of the root patterns, which come first and carry the one degree 1."""
+        return [(p, pattern) for p, pattern, degrees in cls.scan(q, num, den)[0] if degrees == {1}]
 
     def at(self, p, q, num, den):
-        return [ddf for prime, ddf in self.roots(q, num, den) if prime == p]
+        return [pattern for prime, pattern in self.roots(q, num, den) if prime == p]
 
     def test_prime_dividing_lc_gives_no_pattern(self):
         # 3x^2 + x + 1 is x + 1 mod 3, with the simple root 2, where num - 2*den is
@@ -556,13 +607,14 @@ class TestRootPatterns:
         # x^2 + 1 has the roots 2 and 3 mod 5; at r = 2, num - r*den = 1 - 2x
         # loses its x^2 term, while at r = 3 it is 4x^2 + 2x + 1, squarefree
         q, num, den = [1, 0, 1], [1, 0, 2], [0, 1, 1]
-        assert self.at(5, q, num, den) == [_pddf(_pmonic([1, 2, 4], 5), 5)]
+        assert self.at(5, q, num, den) == [ddf_degrees(_pddf(_pmonic([1, 2, 4], 5), 5))]
 
     def test_root_where_g_is_not_squarefree_is_skipped(self):
         # (4x^2 + 3x + 3)/2 over x^2 + 1: at r = 2 mod 5, g = 4x^2 + 3x + 4 = 4(x + 2)^2;
         # at r = 3, g = 4x^2 + 3x + 2 is irreducible, which closes K-degree 1
         q, num, den = [1, 0, 1], [3, 3, 4], [2]
-        assert self.at(5, q, num, den) == [[(2, [3, 2, 1])]]
+        assert _pddf(_pmonic([2, 3, 4], 5), 5) == [(2, [3, 2, 1])]
+        assert self.at(5, q, num, den) == [ddf_degrees([(2, [3, 2, 1])])]
 
     def test_root_search_stops_at_the_32nd_odd_prime(self):
         # x^8 + 1 has roots mod p only for p = 1 mod 16: 17, 97 and 113 up to 137,
@@ -576,7 +628,7 @@ class TestRootPatterns:
         patterns, f = self.scan([1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 1], [1])
         assert [(p, degrees) for p, _, degrees in patterns[-4:]] == [
             (3, {8, 4}), (5, {8, 4}), (7, {8, 2}), (11, {8, 4})]
-        assert [ddf for _, ddf, _ in patterns[-4:]] == [_pddf(f, p) for p in (3, 5, 7, 11)]
+        assert [pattern for _, pattern, _ in patterns[-4:]] == [ddf_degrees(_pddf(f, p)) for p in (3, 5, 7, 11)]
         # 3 divides lc(3x^2 + x + 1) but not lc(f): only the whole degree 2m is read there
         patterns, f = self.scan([1, 1, 3], [1, 1], [1, 0, 1])
         assert f == [5, 7, 6, 1, 1] and patterns[-4][::2] == (3, {2})
@@ -586,9 +638,9 @@ class TestRootPatterns:
         assert f == [1, 2, 1, 0, 1] and patterns[-4][::2] == (3, {2})
 
     def test_linear_q_reads_f_itself(self):
-        # the trivial fiber q = x: the patterns are the DDFs of f at primes of good reduction
+        # the trivial fiber q = x: the patterns are the factor degrees of f at primes of good reduction
         f = [1, 0, 0, 0, 1]  # x^4 + 1
-        assert list(_patterns(f, [0, 1], f, [1])) == [(p, _pddf(f, p), {1}) for p in (3, 5, 7, 11)]
+        assert list(_patterns(f, [0, 1], f, [1])) == [(p, ddf_degrees(_pddf(f, p)), {1}) for p in (3, 5, 7, 11)]
         # over 2x - 1 the fiber form of 3x^5 + x + 1 is 6x^5 + 2x + 1, bad at 3
         patterns, f = self.scan([-1, 2], [1, 1, 0, 0, 0, 3], [1])
         assert f == [1, 2, 0, 0, 0, 6] and [p for p, _, _ in patterns] == [5, 7, 11, 13]
