@@ -191,10 +191,6 @@ class ComponentVerdict:
     proper_over_source: bool
     modulus: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.proper_over_source and self.modulus
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -286,11 +282,10 @@ def morphism_flags(alpha: Cycle) -> MorphismFlags:
 
 
 def _right_proper(comp: Component, source: ModulusTriple, target: ModulusTriple) -> bool:
+    # comp.b is nonconstant: morphism_flags asks only of dominant cycles
     if source.total.is_proper:
         return True
     hit = preimage_locus(comp.a, source.total.boundary)
-    if comp.b.is_constant:
-        return hit.is_empty
     allowed = preimage_locus(comp.b, target.total.boundary)
     return locus_subset(hit, allowed)
 

@@ -5,7 +5,9 @@ primitive integer forms, plus a single point at infinity; divisors are
 finitely supported integer combinations of closed points (Weil = Cartier
 on the smooth curve).
 Rational maps are pairs of coprime integer-primitive polynomials, or
-constants at rational points.
+constants at rational points.  Points and maps are built from, and read
+as, integer coefficient sequences (ascending): ``ClosedPoint.finite``,
+``RationalMap.from_ints``, ``ints``, ``nz`` and ``dz``.
 
 Pullbacks are computed through the homogenized degree form so that the
 point at infinity needs no chart swap: for a finite point with minimal
@@ -24,9 +26,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import DegenerateInput, NotEffective
 from .ratpoly import (
-    Poly,
     _factor_fiber,
-    _monic_from_ints,
     _trim,
     _zadd,
     _zdiv_exact,
@@ -49,9 +49,9 @@ class ClosedPoint:
     """A closed point of P^1_Q: an irreducible polynomial, or infinity.
 
     A finite point is stored as ``ints``, the primitive integer multiple of
-    its minimal polynomial with a positive leading coefficient (ascending);
-    ``minimal_poly`` is a monic Poly view of it.  The hash and the sort key
-    are those of the monic form, computed once, at construction.
+    its minimal polynomial with a positive leading coefficient (ascending).
+    The hash and the sort key are those of the monic form, computed once,
+    at construction.
     """
 
     __slots__ = ("ints", "_hash", "_key")
@@ -64,7 +64,7 @@ class ClosedPoint:
             lc = ints[-1]
             monic = ints if lc == 1 else tuple(c // lc if c % lc == 0 else Fraction(c, lc) for c in ints)
         object.__setattr__(self, "ints", ints)
-        # equal to the hash of ("pt", minimal_poly): an integral Fraction hashes as its int
+        # the hash of ("pt", monic coefficients): an integral Fraction hashes as its int
         object.__setattr__(self, "_hash", hash(("pt", monic)))
         object.__setattr__(self, "_key", (0,) if monic is None else (1, len(monic), monic[::-1]))
 
@@ -72,19 +72,13 @@ class ClosedPoint:
         raise AttributeError("ClosedPoint is immutable")
 
     @classmethod
-    def infinity(cls) -> "ClosedPoint":
-        return INFINITY
-
-    @classmethod
-    def finite(cls, poly: Poly) -> "ClosedPoint":
-        """The point of an irreducible polynomial; DegenerateInput otherwise."""
-        if poly.is_constant:
+    def finite(cls, coeffs: Iterable[int]) -> "ClosedPoint":
+        """The point of an irreducible integer polynomial (ascending coefficients), stored
+        primitive with a positive leading coefficient; DegenerateInput on a constant or a
+        reducible one."""
+        ints = _zprimitive(_trim(list(coeffs)))
+        if len(ints) < 2:
             raise DegenerateInput("a closed point needs a nonconstant polynomial")
-        return cls._checked(poly.int_primitive()[1])
-
-    @classmethod
-    def _checked(cls, ints: list[int]) -> "ClosedPoint":
-        # ints: primitive, degree >= 1, positive leading coefficient; DegenerateInput if reducible
         if not _zirreducible(ints):
             raise DegenerateInput("point polynomial is reducible")
         return cls(ints)
@@ -94,10 +88,6 @@ class ClosedPoint:
         """The degree-1 point x = value."""
         value = Fraction(value)
         return cls((-value.numerator, value.denominator))
-
-    @property
-    def minimal_poly(self) -> Optional[Poly]:
-        return None if self.ints is None else _monic_from_ints(self.ints)
 
     @property
     def is_infinity(self) -> bool:
@@ -302,9 +292,8 @@ class RationalMap:
     Nonconstant maps are finite surjective of degree max(deg num, deg den);
     they are stored as integer coefficient tuples ``nz`` and ``dz``
     (ascending; coprime, joint content 1, positive denominator leading
-    coefficient) so equality is syntactic.  ``num`` and ``den`` are Poly
-    views of them.  Constant maps carry a degree-1 point.  The hash is
-    computed once, at construction.
+    coefficient) so equality is syntactic.  Constant maps carry a degree-1
+    point.  The hash is computed once, at construction.
     """
 
     __slots__ = ("nz", "dz", "const", "_hash")
@@ -314,7 +303,7 @@ class RationalMap:
         object.__setattr__(self, "nz", nz)
         object.__setattr__(self, "dz", dz)
         object.__setattr__(self, "const", const)
-        # equal to the hash of ("map", num, den, const): an integral Poly hashes as its ints
+        # equal to the hash of ("map", Poly(nz), Poly(dz), const): an integral Poly hashes as its ints
         object.__setattr__(self, "_hash", hash(("map", nz, dz, const)))
 
     def __setattr__(self, name, value):
@@ -327,14 +316,10 @@ class RationalMap:
         return cls(None, None, point)
 
     @classmethod
-    def from_fraction(cls, num: Poly, den: Poly) -> "RationalMap":
-        cn, zn = num.int_primitive()
-        cd, zd = den.int_primitive()
-        return cls._from_ints(cn / (cd or 1), zn, zd)  # a zero den leaves the ratio unused
-
-    @classmethod
-    def _from_ints(cls, ratio: Fraction, zn: list[int], zd: list[int]) -> "RationalMap":
-        # ratio * zn / zd for integer forms zn, zd; a nonzero ratio unless zd is zero
+    def from_ints(cls, num: Iterable[int], den: Iterable[int] = (1,)) -> "RationalMap":
+        """The map num/den of two integer polynomials (ascending coefficients), in lowest
+        terms; a constant map where num/den is constant, DegenerateInput on 0/0."""
+        zn, zd = _trim(list(num)), _trim(list(den))
         if not zd:
             if not zn:
                 raise DegenerateInput("0/0 is not a map")
@@ -342,7 +327,7 @@ class RationalMap:
         if not zn:
             return cls.constant(ClosedPoint.rational(0))
         pn, pd = _zprimitive(zn), _zprimitive(zd)
-        ratio *= Fraction(zn[-1] // pn[-1], zd[-1] // pd[-1])
+        ratio = Fraction(zn[-1] // pn[-1], zd[-1] // pd[-1])
         g = _zgcd(pn, pd)
         if len(g) > 1:
             pn, pd = _zdiv_exact(pn, g), _zdiv_exact(pd, g)
@@ -356,19 +341,7 @@ class RationalMap:
     def identity(cls) -> "RationalMap":
         return cls((0, 1), (1,), None)
 
-    @classmethod
-    def polynomial(cls, p: Poly) -> "RationalMap":
-        return cls.from_fraction(p, Poly((1,)))
-
     # -- queries ---------------------------------------------------------
-
-    @property
-    def num(self) -> Optional[Poly]:
-        return None if self.nz is None else Poly.from_int_coeffs(self.nz)
-
-    @property
-    def den(self) -> Optional[Poly]:
-        return None if self.dz is None else Poly.from_int_coeffs(self.dz)
 
     @property
     def is_constant(self) -> bool:
@@ -391,7 +364,7 @@ class RationalMap:
         return self.nz == (0, 1) and self.dz == (1,)
 
     def sort_key(self) -> tuple:
-        # Poly.sort_key of the views, which order integral coefficients as ints
+        # Poly.sort_key of Poly(nz) and Poly(dz), which orders integral coefficients as ints
         if self.is_constant:
             return (0,) + self.const.sort_key()
         return (1, (len(self.nz), self.nz[::-1]), (len(self.dz), self.dz[::-1]))
@@ -439,7 +412,7 @@ class RationalMap:
         if self.is_constant or self.degree != 1:
             raise DegenerateInput("only degree-1 maps are invertible")
         (b, a), (d, c) = (self.nz + (0,))[:2], (self.dz + (0,))[:2]
-        return RationalMap._from_ints(Fraction(1), _trim([-b, d]), _trim([a, -c]))
+        return RationalMap.from_ints([-b, d], [a, -c])
 
 
 def _evaluate(z: tuple[int, ...], c: Fraction) -> Fraction:
@@ -459,19 +432,17 @@ def compose_maps(outer: RationalMap, inner: RationalMap) -> RationalMap:
     if outer.degree * inner.degree > MAX_FIBER_DEGREE:
         raise DegenerateInput(
             f"composite of degree {outer.degree * inner.degree} above the cap {MAX_FIBER_DEGREE}")
-    # outer's homogenized forms at (inner.num, inner.den); neither vanishes,
+    # outer's homogenized forms at (inner.nz, inner.dz); neither vanishes,
     # since inner is nonconstant and so its image is infinite
     d, nz, dz = outer.degree, inner.nz, inner.dz
-    return RationalMap._from_ints(
-        Fraction(1), _zhomog(outer.nz, nz, dz, d), _zhomog(outer.dz, nz, dz, d)
-    )
+    return RationalMap.from_ints(_zhomog(outer.nz, nz, dz, d), _zhomog(outer.dz, nz, dz, d))
 
 
 def multiply_maps(f: RationalMap, g: RationalMap) -> RationalMap:
     """Product of f and g as rational functions."""
     if f.is_constant or g.is_constant:
         raise DegenerateInput("products are formed from nonconstant maps here")
-    return RationalMap._from_ints(Fraction(1), _zmul(f.nz, g.nz), _zmul(f.dz, g.dz))
+    return RationalMap.from_ints(_zmul(f.nz, g.nz), _zmul(f.dz, g.dz))
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +482,17 @@ class _Fiber:
         return None if self._points is None else [(q.ints, m) for q, m in self._points]
 
 
-def fiber_data(f: RationalMap, point: ClosedPoint) -> tuple[Poly, int]:
+def fiber_data(f: RationalMap, point: ClosedPoint) -> tuple[tuple[int, ...], int]:
     """(g, k): the divisor f*[point] equals div0(g) + k*[infinity].
 
-    g is the dehomogenized fiber form (den^deg(P) * p(num/den) for a
-    finite point with minimal polynomial p, den itself for infinity, up
-    to a harmless constant), and k the degree deficit absorbed at
+    g is the dehomogenized fiber form as a primitive integer coefficient
+    tuple, ascending, with a positive leading coefficient (den^deg(P) *
+    p(num/den) for a finite point with minimal polynomial p, den itself
+    for infinity, up to a constant), and k the degree deficit absorbed at
     infinity.
     """
     fiber = _fiber_cached(f, point)
-    return Poly.from_int_coeffs(fiber.ints), fiber.k
+    return fiber.ints, fiber.k
 
 
 @lru_cache(maxsize=65536)

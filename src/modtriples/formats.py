@@ -269,7 +269,7 @@ def _parse_point(tk: _Tokens) -> ClosedPoint:
             raise ParseError(f"point polynomial with coefficients above {MAX_HEIGHT_BITS} bits")
     point = tk.points.get(f)
     if point is None:
-        point = tk.points[f] = ClosedPoint._checked(f)
+        point = tk.points[f] = ClosedPoint.finite(f)
     return point
 
 
@@ -335,7 +335,8 @@ def map_from_json(data: Any) -> RationalMap:
         raise ParseError("a map needs either 'num' or 'const'")
     dn, zn = _clear(_parse_whole(data["num"], _parse_expr, "polynomial"))
     dd, zd = _clear(_parse_whole(data.get("den", "1"), _parse_expr, "polynomial"))
-    return RationalMap._from_ints(Fraction(dd, dn), zn, zd)
+    # (zn / dn) / (zd / dd)
+    return RationalMap.from_ints([v * dd for v in zn], [v * dn for v in zd])
 
 
 def map_to_json(f: RationalMap) -> dict:

@@ -53,11 +53,12 @@ def _trim(coeffs: list) -> list:
 class Poly:
     """A dense univariate polynomial with Fraction coefficients, read-only.
 
-    Poly is a view for inputs and results; arithmetic runs on integer
-    coefficient lists (the ``_z*`` helpers below).  Coefficients are
-    stored ascending; the highest stored index is nonzero unless the
-    polynomial is zero (empty tuple).  Instances are immutable and
-    hashable, with the hash of their coefficient tuple.
+    Poly is the type of the public polynomial API only; arithmetic runs on
+    integer coefficient lists (the ``_z*`` helpers below), and points and
+    maps are built from such lists.  Coefficients are stored ascending; the
+    highest stored index is nonzero unless the polynomial is zero (empty
+    tuple).  Instances are immutable and hashable, with the hash of their
+    coefficient tuple.
     """
 
     __slots__ = ("coeffs",)
@@ -108,6 +109,8 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
+    __iter__ = None  # p[k] reads 0 past the top: list(p) and ``c in p`` raise instead of never ending
+
     # -- integer form --------------------------------------------------
 
     def int_primitive(self) -> tuple[Fraction, list[int]]:
@@ -128,10 +131,6 @@ class Poly:
             g = -g
         ints = [v // g for v in ints]
         return Fraction(g, denom_lcm), ints
-
-    @classmethod
-    def from_int_coeffs(cls, ints: Iterable[int]) -> "Poly":
-        return cls._raw(tuple(_trim([Fraction(v) for v in ints])))
 
     # -- comparison / display -------------------------------------------
 

@@ -8,6 +8,8 @@ carry the full reproduction inputs in canonical text form.
 Admissible instances are produced by targeted constructions (pullback
 seeded minimal pairs, shift perturbations, pushforward-dominated
 transposes) with rejection sampling on top, so no suite starves.
+Maps and points are drawn as integer coefficient lists; ``Poly`` appears
+only in the kernel suite, which tests the public polynomial API.
 """
 
 from __future__ import annotations
@@ -33,10 +35,8 @@ from .divisors import (
     ClosedPoint,
     CurveSpace,
     Divisor,
-    Locus,
     PullbackComparison,
     RationalMap,
-    locus_subset,
     min_divisor,
     point_image,
     preimage_locus,
@@ -193,8 +193,8 @@ _POINT_POOL = (
     ClosedPoint.rational(1),
     ClosedPoint.rational(-1),
     ClosedPoint.rational(2),
-    ClosedPoint.finite(Poly((1, 0, 1))),
-    ClosedPoint.finite(Poly((-2, 0, 1))),
+    ClosedPoint.finite((1, 0, 1)),
+    ClosedPoint.finite((-2, 0, 1)),
     INFINITY,
 )
 
@@ -226,10 +226,11 @@ def random_signed(rng: random.Random, pool: list[ClosedPoint], max_points: int =
     return Divisor((p, rng.choice([-3, -2, -1, 1, 2, 3])) for p in pts)
 
 
-def random_poly(rng: random.Random, degree: int, height: int) -> Poly:
+def random_poly(rng: random.Random, degree: int, height: int) -> list[int]:
+    """Integer coefficients, ascending, of a polynomial of the given degree."""
     coeffs = [rng.randint(-height, height) for _ in range(degree)]
     lead = rng.randint(1, height) * rng.choice([1, -1])
-    return Poly(coeffs + [lead])
+    return coeffs + [lead]
 
 
 def random_map(rng: random.Random, degree_bound: int, height: int) -> RationalMap:
@@ -241,7 +242,7 @@ def random_map(rng: random.Random, degree_bound: int, height: int) -> RationalMa
         else:
             num = random_poly(rng, rng.randint(0, d), height)
             den = random_poly(rng, d, height)
-        f = RationalMap.from_fraction(num, den)
+        f = RationalMap.from_ints(num, den)
         if not f.is_constant and f.degree == d:
             return f
     raise AssertionError("map generation starved")
@@ -341,7 +342,12 @@ def admissible_pair(rng: random.Random, cfg: SuiteConfig) -> tuple[Cycle, Cycle]
 
 
 def minus_transfer_holds(comp: Component, s: ModulusTriple, t: ModulusTriple) -> bool:
-    """Divisor inequality b*T- >= a*S- plus the interior set inclusion."""
+    """Divisor inequality b*T- >= a*S- away from the escapes a^-1(bad S) and b^-1(bad T).
+
+    The interior set inclusion comes with it: at a point over |S-| that does not
+    escape, b*T- >= a*S- > 0, so the point lies over |T-|, and infinity likewise;
+    under a constant b no point over |S-| is left outside the escapes.
+    """
     if comp.b.is_constant:
         if comp.b.value in t.minus.support():
             return True  # hypothesis excludes components landing inside |T-|
@@ -353,15 +359,7 @@ def minus_transfer_holds(comp: Component, s: ModulusTriple, t: ModulusTriple) ->
     if not comp.b.is_constant:
         cmp.add_pullback(comp.b, t.minus, +1)
         cmp.add_escape_map(comp.b, t.bad_set())
-        hit_minus = preimage_locus(comp.b, t.minus.support())
-        off_t = preimage_locus(comp.b, t.bad_set())
-    else:
-        hit_minus = Locus()  # the constant misses |T-|
-        off_t = Locus()  # the constant sits in the interior
-    if not cmp.effective():
-        return False
-    over_s_minus = preimage_locus(comp.a, s.minus.support())
-    return locus_subset(over_s_minus, preimage_locus(comp.a, s.bad_set()), off_t, hit_minus)
+    return cmp.effective()
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +415,7 @@ def suite_kernel(rng: random.Random, cfg: SuiteConfig, rec: Recorder) -> None:
     attempts = 0
     while len(irreducibles) < 12 and attempts < 600:
         attempts += 1
-        p = random_poly(rng, rng.randint(1, 3), height)
-        if p.is_constant:
-            continue
+        p = Poly(random_poly(rng, rng.randint(1, 3), height))
         try:
             if oracles.verify_irreducible(p):
                 irreducibles.append(Poly([c / p.leading for c in p.coeffs]))
@@ -564,10 +560,7 @@ def _iy_morphism_sample(rng, cfg, pool):
         if rng.random() < 0.4 and not y1.is_zero:
             point = rng.choice(sorted(y1.support(), key=lambda p: p.sort_key()))
             y1 = y1 + Divisor.of(point)  # still fine: Y1 <= f*Y2 fails now
-        try:
-            o1 = IYObject(y=y1, z=z1)
-        except SymbolicError:
-            o1 = IYObject(y=pullback_divisor(f, y2), z=Divisor.zero())
+        o1 = IYObject(y=y1, z=z1)  # |f*Y2| and |f*Z2| are disjoint, as |Y2| and |Z2| are
     else:
         y1 = random_effective(rng, pool)
         z1 = random_effective(rng, [p for p in pool if p not in y1.support()])

@@ -7,15 +7,19 @@ with the operators, ``monic``, division and the small constructors, and
 ``squarefree_part`` is the monic product of the distinct irreducible
 factors.  Engine results are plain ``modtriples.Poly``s; ``ref`` turns
 one into this class before it takes part in arithmetic.  Instances of
-both classes compare and hash alike.
+both classes compare and hash alike.  Points and maps are built from
+integer coefficient sequences; ``point_of`` and ``map_of`` build them
+from Fraction polynomials, and ``Poly(point.ints)``, ``Poly(f.nz)`` and
+``Poly(f.dz)`` read them back.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
-from modtriples import DegenerateInput
+from modtriples import ClosedPoint, DegenerateInput, RationalMap
 from modtriples import Poly as ViewPoly
 from modtriples.ratpoly import _monic_from_ints, _trim, _zmul, _zpow, _zyun
 
@@ -136,3 +140,14 @@ def squarefree_part(p: Poly) -> Poly:
         return Poly.one()
     _, f = p.int_primitive()
     return _monic_from_ints(functools.reduce(_zmul, [part for _, part in _zyun(f)]))
+
+
+def point_of(p: ViewPoly) -> ClosedPoint:
+    """``ClosedPoint.finite`` of the primitive integer form of a nonconstant p."""
+    return ClosedPoint.finite(p.int_primitive()[1])
+
+
+def map_of(num: ViewPoly, den: ViewPoly = Poly.one()) -> RationalMap:
+    """``RationalMap.from_ints`` of num/den, both cleared of denominators by one factor."""
+    lcm = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+    return RationalMap.from_ints([int(c * lcm) for c in num.coeffs], [int(c * lcm) for c in den.coeffs])

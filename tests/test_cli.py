@@ -336,6 +336,12 @@ class TestCommands:
         assert main(["apply", "kappa-inv", "--triple", back]) == 0
         assert json.loads(capsys.readouterr().out) == {"Y": "1*P(x)", "Z": "2*P(inf)"}
 
+    def test_p_on_one_triple_object(self, files, capsys):
+        # apply p reads a JSON list of triples: a single triple object is a schema error
+        triple = files("t.json", '{"total": {"kind": "proper"}, "plus": "1*P(inf)", "minus": "0"}')
+        assert main(["apply", "p", "--triples", triple]) == 2
+        assert "ParseError" in capsys.readouterr().err
+
     def test_p_and_q(self, files, capsys):
         triples = files(
             "ts.json",

@@ -26,17 +26,15 @@ from modtriples import (
     shift_morphism,
     transpose_cycle,
 )
-from polyref import Poly
 
-X = Poly.x()
 P0 = ClosedPoint.rational(0)
 P1 = ClosedPoint.rational(1)
 DINF = Divisor.of(INFINITY)
 D0 = Divisor.of(P0)
 ZERO = Divisor.zero()
 ID = RationalMap.identity()
-SQ = RationalMap.polynomial(X**2)
-CUBE = RationalMap.polynomial(X**3)
+SQ = RationalMap.from_ints((0, 0, 1))
+CUBE = RationalMap.from_ints((0, 0, 0, 1))
 
 BOX = ModulusTriple.proper(DINF, ZERO)
 BOXDUAL = ModulusTriple.proper(ZERO, DINF)
@@ -55,7 +53,7 @@ class TestGraph:
         assert is_admissible(cycle)
 
     def test_inversion_swaps_poles(self):
-        inv = RationalMap.from_fraction(Poly.one(), X)
+        inv = RationalMap.from_ints((1,), (0, 1))
         cycle = graph_cycle(inv, ModulusTriple.proper(D0, ZERO), BOX)
         assert is_admissible(cycle)
 
@@ -85,16 +83,24 @@ class TestTranspose:
 
 
 class TestCanonicalForm:
+    def test_repeated_components_merge(self):
+        # a repeated pair, also one presented through a Moebius reparametrization, adds its multiplicity
+        shift = RationalMap.from_ints((1, 1))
+        twisted = Component(shift, RationalMap.from_ints((1, 2, 1)), 2)
+        cycle = Cycle(BOX, BOX, [Component(ID, SQ, 1), Component(ID, CUBE, 1), twisted, Component(ID, SQ, 4)])
+        assert cycle.components == Cycle(BOX, BOX, [Component(ID, CUBE, 1), Component(ID, SQ, 7)]).components
+        assert [(c.b, c.mult) for c in cycle.components] == [(SQ, 7), (CUBE, 1)]
+
     def test_moebius_reparametrization_merges(self):
         # (x+1, f(x+1)) and (x, f(x)) present the same graph component
-        shift = RationalMap.from_fraction(X + Poly.one(), Poly.one())
-        twisted = Component(shift, RationalMap.polynomial((X + Poly.one()) ** 2), 1)
+        shift = RationalMap.from_ints((1, 1))
+        twisted = Component(shift, RationalMap.from_ints((1, 2, 1)), 1)
         plain = Component(ID, SQ, 1)
         assert twisted == plain
 
     def test_second_leg_normalization(self):
-        shift = RationalMap.from_fraction(X + Poly.one(), Poly.one())
-        twisted = Component(RationalMap.polynomial((X + Poly.one()) ** 2), shift, 1)
+        shift = RationalMap.from_ints((1, 1))
+        twisted = Component(RationalMap.from_ints((1, 2, 1)), shift, 1)
         assert twisted.b.is_identity and twisted.a == SQ
 
     @pytest.mark.parametrize("mult", [0, -2])
@@ -134,7 +140,7 @@ class TestCompose:
     def test_graphs_compose_as_maps(self):
         g1 = graph_cycle(SQ, FREE, FREE)
         g2 = graph_cycle(CUBE, FREE, FREE)
-        assert compose(g1, g2) == graph_cycle(RationalMap.polynomial(X**6), FREE, FREE)
+        assert compose(g1, g2) == graph_cycle(RationalMap.from_ints((0, 0, 0, 0, 0, 0, 1)), FREE, FREE)
 
     def test_pinned_composite(self):
         shift = shift_morphism(BOX, DINF)
@@ -193,6 +199,15 @@ class TestFlags:
         flags = morphism_flags(cycle)
         assert not flags.dominant and not flags.finite_over_target
         assert flags.finite
+
+    def test_finite_over_target_from_an_open_source(self):
+        # the components over the removed source point 0 must lie over the removed target boundary
+        source = ModulusTriple(CurveSpace.open([P0]), ZERO, ZERO)
+        open_target = ModulusTriple(CurveSpace.open([P0]), ZERO, ZERO)
+        shift = RationalMap.from_ints((1, 1))
+        for target, b, over_target in ((open_target, SQ, True), (FREE, SQ, False), (open_target, shift, False)):
+            flags = morphism_flags(Cycle(source, target, [Component(ID, b, 1)]))
+            assert flags.dominant and flags.finite_over_target is over_target
 
     def test_finite_readings_differ_on_open_totals(self):
         open_target = ModulusTriple(CurveSpace.open([INFINITY]), ZERO, ZERO)

@@ -59,10 +59,8 @@ from modtriples import (
 from modtriples.divisors import PullbackComparison, compose_maps
 from modtriples.suites import point_pool, random_effective, random_map, random_triple
 from modtriples.triples import TripleSum
-from polyref import Poly
+from polyref import Poly, map_of
 
-X = Poly.x()
-ONE = Poly.one()
 P0 = ClosedPoint.rational(0)
 P1 = ClosedPoint.rational(1)
 DINF = Divisor.of(INFINITY)
@@ -70,7 +68,7 @@ D0 = Divisor.of(P0)
 D1 = Divisor.of(P1)
 ZERO = Divisor.zero()
 ID = RationalMap.identity()
-SQ = RationalMap.polynomial(X**2)
+SQ = RationalMap.from_ints((0, 0, 1))
 BOX = ModulusTriple.proper(DINF, ZERO)
 PROPER = CurveSpace.proper()
 
@@ -110,6 +108,14 @@ class TestPhi:
         cand = graph_cycle(SQ, phi_embed(pair), t)
         chk = phi_right_transport(pair, t, cand)
         assert chk.left and chk.right and chk.agrees
+
+    def test_left_transport_without_a_minus_part(self):
+        # with T- = 0, p(T) is T as a pair, so both sides read the same admissibility
+        t = ModulusTriple.proper(DINF, ZERO)
+        pair = ModulusPair(PROPER, DINF)
+        for b, member in ((ID, True), (SQ, False)):
+            chk = phi_left_transport(t, pair, Cycle(t, phi_embed(pair), [Component(ID, b, 1)]))
+            assert chk.left is chk.right is member and chk.agrees
 
     def test_left_transport_empty_hom(self):
         t = ModulusTriple.proper(DINF, D0)
@@ -251,6 +257,14 @@ class TestNeBridge:
         d = D0 - DINF
         assert pullback_divisor(SQ, d).support() == frozenset([P0, INFINITY])
 
+    def test_hom_with_a_collapsed_second_leg(self):
+        # a constant second leg must avoid |Y-infinity|, and then asks only a*(X-infinity) >= 0
+        y = NePair(infinity=D1 - D0)
+        for value, x, member in ((P0, NePair(infinity=DINF), False), (P1, NePair(infinity=DINF), False),
+                                 (INFINITY, NePair(infinity=DINF), True), (INFINITY, NePair(infinity=-DINF), False)):
+            cand = Cycle(ne_embed(x), ne_embed(y), [Component(ID, RationalMap.constant(value), 1)])
+            assert ne_hom_member(cand, x, y) is member
+
     def test_hom_agreement(self):
         y = NePair(infinity=D1 - D0)
         x = NePair(infinity=pullback_divisor(SQ, y.infinity))
@@ -321,7 +335,7 @@ def known_level_case(rng, k, m):
         if d(r):
             break
     root_power = Poly((-r, 1)) ** k
-    f = RationalMap.from_fraction(d.scale(c) + root_power, d)
+    f = map_of(d.scale(c) + root_power, d)
     base = ModulusTriple(
         CurveSpace.open([ClosedPoint.rational(r)]),
         Divisor.of((ClosedPoint.rational(extra), rng.randint(0, 2))),

@@ -1,6 +1,7 @@
 """Kernel tests: gcd, squarefree decomposition, factorization, resultants."""
 
 import ast
+import collections.abc
 import functools
 import math
 import random
@@ -23,6 +24,7 @@ from modtriples import (
     resultant,
     squarefree_decomposition,
 )
+from modtriples import Poly as ViewPoly
 from modtriples import oracles, ratpoly
 from modtriples.oracles import OracleBudgetExceeded, verify_irreducible
 from modtriples.ratpoly import (
@@ -659,7 +661,7 @@ class TestRootPatterns:
             den = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
             if not any(num) or not any(den):
                 continue
-            f_map = RationalMap.from_fraction(Poly(num), Poly(den))
+            f_map = RationalMap.from_ints(num, den)
             if f_map.is_constant or f_map.degree < 2:
                 continue
             point = ClosedPoint(rng.choice(points))
@@ -827,6 +829,18 @@ class TestEisensteinCertificate:
         assert calls == [1]
 
 
+class TestNotIterable:
+    """p[k] reads 0 past the top coefficient, so a Poly that iterated would never stop."""
+
+    def test_iteration_and_membership_raise(self):
+        p = ViewPoly((1, 2))
+        assert not isinstance(p, collections.abc.Iterable)  # checked first: it cannot hang
+        for probe in (list, tuple, iter, lambda q: 0 in q, lambda q: 5 in q, lambda q: [*q]):
+            with pytest.raises(TypeError):
+                probe(p)
+        assert p[0] == 1 and p[5] == 0 and p.coeffs == (1, 2)
+
+
 class TestIntegerForm:
     @pytest.mark.parametrize("seed", range(4))
     def test_sort_key_orders_like_fractions(self, seed):
@@ -840,14 +854,14 @@ class TestIntegerForm:
             polys.append(Poly(coeffs))
         # the trusted constructor takes the integer form, reducible or not
         points = [ClosedPoint(p.int_primitive()[1]) for p in polys]
-        assert [q.minimal_poly for q in points] == polys
+        assert [Poly(q.ints).monic() for q in points] == polys
 
         def fraction_key(p: Poly) -> tuple:
             return (len(p.coeffs), tuple(reversed(p.coeffs)))
 
         assert sorted(polys, key=Poly.sort_key) == sorted(polys, key=fraction_key)
         assert sorted(points, key=ClosedPoint.sort_key) == sorted(
-            points, key=lambda q: (1,) + fraction_key(q.minimal_poly)
+            points, key=lambda q: (1,) + fraction_key(Poly(q.ints).monic())
         )
         for p in polys:
             assert p.sort_key() == fraction_key(p)

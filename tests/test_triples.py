@@ -25,9 +25,7 @@ from modtriples import (
 )
 from modtriples.cycles import is_admissible
 from modtriples.triples import component_comparison
-from polyref import Poly
 
-X = Poly.x()
 P0 = ClosedPoint.rational(0)
 P1 = ClosedPoint.rational(1)
 DINF = Divisor.of(INFINITY)
@@ -35,7 +33,7 @@ D0 = Divisor.of(P0)
 D1 = Divisor.of(P1)
 ZERO = Divisor.zero()
 ID = RationalMap.identity()
-SQ = RationalMap.polynomial(X**2)
+SQ = RationalMap.from_ints((0, 0, 1))
 
 BOX = ModulusTriple.proper(DINF, ZERO)
 BOXDUAL = ModulusTriple.proper(ZERO, DINF)
@@ -46,7 +44,7 @@ def random_triple(rng, pool):
     return ModulusTriple.proper(pick(), pick())
 
 
-POOL = [P0, P1, ClosedPoint.rational(-1), ClosedPoint.finite(X**2 + Poly.one()), INFINITY]
+POOL = [P0, P1, ClosedPoint.rational(-1), ClosedPoint.finite((1, 0, 1)), INFINITY]
 
 
 class TestStructure:
