@@ -13,7 +13,6 @@ arguments accept ``-`` for standard input.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -92,12 +91,12 @@ def _position(cycle):
 
 
 def _class(triple):
-    flags = dataclasses.asdict(classify(triple))
+    flags = classify(triple).as_dict()
     return formats.triple_to_json(triple), "ok", {"class": flags}, _words(flags)
 
 
 def _flag(cycle, name: str):
-    flags = dataclasses.asdict(morphism_flags(cycle))
+    flags = morphism_flags(cycle).as_dict()
     return formats.cycle_to_json(cycle), _yes(flags[name]), {"flags": flags}, f"{name}: {_yes(flags[name])}"
 
 

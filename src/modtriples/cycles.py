@@ -17,7 +17,6 @@ is canonical-form syntactic equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .divisors import (
@@ -31,16 +30,19 @@ from .divisors import (
 from .errors import (
     CertificationError,
     DegenerateInput,
+    Immutable,
     NotAdmissible,
     NotFiniteOverSource,
     NotInteriorPreserving,
+    Record,
     TypeMismatch,
     UnsupportedComposition,
+    _setslot,
 )
 from .triples import ModulusTriple, modulus_condition
 
 
-class Component:
+class Component(Immutable):
     """One parametrized component with a positive multiplicity."""
 
     __slots__ = ("a", "b", "mult")
@@ -55,9 +57,6 @@ class Component:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "mult", int(mult))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Component is immutable")
 
     def pair_key(self) -> tuple:
         return (self.a.sort_key(), self.b.sort_key())
@@ -92,7 +91,7 @@ def _canonical_pair(a: RationalMap, b: RationalMap) -> tuple[RationalMap, Ration
     return a, b
 
 
-class Cycle:
+class Cycle(Immutable):
     """Formal nonnegative combination of components between two triples."""
 
     __slots__ = ("source", "target", "components")
@@ -115,9 +114,6 @@ class Cycle:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", ordered)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cycle is immutable")
 
     @property
     def is_zero(self) -> bool:
@@ -185,17 +181,21 @@ def transpose_cycle(alpha: Cycle) -> Cycle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentVerdict:
-    component: Component
-    proper_over_source: bool
-    modulus: bool
+class ComponentVerdict(Record):
+    __slots__ = ("component", "proper_over_source", "modulus")
+
+    def __init__(self, component: Component, proper_over_source: bool, modulus: bool):
+        _setslot(self, "component", component)
+        _setslot(self, "proper_over_source", proper_over_source)
+        _setslot(self, "modulus", modulus)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    ok: bool
-    verdicts: tuple[ComponentVerdict, ...]
+class AdmissibilityReport(Record):
+    __slots__ = ("ok", "verdicts")
+
+    def __init__(self, ok: bool, verdicts: tuple[ComponentVerdict, ...]):
+        _setslot(self, "ok", ok)
+        _setslot(self, "verdicts", verdicts)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -230,13 +230,8 @@ def is_admissible(alpha: Cycle) -> AdmissibilityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MorphismFlags:
-    dominant: bool
-    minimal: bool
-    finite: bool
-    finite_over_target: bool
-    sigma_fin: bool
+class MorphismFlags(Record):
+    __slots__ = ("dominant", "minimal", "finite", "finite_over_target", "sigma_fin")
 
 
 def morphism_flags(alpha: Cycle) -> MorphismFlags:
@@ -327,12 +322,14 @@ def compose(alpha: Cycle, beta: Cycle) -> Cycle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositionVerdict:
-    component: Component
-    bad: bool
-    very_good: bool
-    excellent: bool
+class PositionVerdict(Record):
+    __slots__ = ("component", "bad", "very_good", "excellent")
+
+    def __init__(self, component: Component, bad: bool, very_good: bool, excellent: bool):
+        _setslot(self, "component", component)
+        _setslot(self, "bad", bad)
+        _setslot(self, "very_good", very_good)
+        _setslot(self, "excellent", excellent)
 
 
 def position_classify(alpha: Cycle) -> tuple[PositionVerdict, ...]:

@@ -19,12 +19,11 @@ at infinity, then, on first use, its points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Optional
 
-from .errors import DegenerateInput, NotEffective
+from .errors import DegenerateInput, Immutable, NotEffective, Record, _setslot
 from .ratpoly import (
     _factor_fiber,
     _trim,
@@ -45,7 +44,7 @@ from .ratpoly import (
 MAX_FIBER_DEGREE = 1024
 
 
-class ClosedPoint:
+class ClosedPoint(Immutable):
     """A closed point of P^1_Q: an irreducible polynomial, or infinity.
 
     A finite point is stored as ``ints``, the primitive integer multiple of
@@ -67,9 +66,6 @@ class ClosedPoint:
         # the hash of ("pt", monic coefficients): an integral Fraction hashes as its int
         object.__setattr__(self, "_hash", hash(("pt", monic)))
         object.__setattr__(self, "_key", (0,) if monic is None else (1, len(monic), monic[::-1]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClosedPoint is immutable")
 
     @classmethod
     def finite(cls, coeffs: Iterable[int]) -> "ClosedPoint":
@@ -127,7 +123,7 @@ def _point_order(entry: tuple[ClosedPoint, int]) -> tuple:
     return entry[0]._key
 
 
-class Divisor:
+class Divisor(Immutable):
     """Finitely supported integer-valued function on closed points.
 
     ``entries`` lists the (point, multiplicity) pairs with nonzero
@@ -156,9 +152,6 @@ class Divisor:
         self = object.__new__(cls)
         self._set(acc)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
 
     @classmethod
     def zero(cls) -> "Divisor":
@@ -244,16 +237,13 @@ class Divisor:
         return f"Divisor({divisor_to_text(self)!r})"
 
 
-class CurveSpace:
+class CurveSpace(Immutable):
     """The proper line, or the line minus a finite reduced boundary."""
 
     __slots__ = ("boundary",)
 
     def __init__(self, boundary: Iterable[ClosedPoint] = ()):
         object.__setattr__(self, "boundary", frozenset(boundary))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CurveSpace is immutable")
 
     @classmethod
     def proper(cls) -> "CurveSpace":
@@ -286,7 +276,7 @@ class CurveSpace:
         return f"CurveSpace(open minus {pts!r})"
 
 
-class RationalMap:
+class RationalMap(Immutable):
     """A self-map of the line: coprime num/den, or a constant rational point.
 
     Nonconstant maps are finite surjective of degree max(deg num, deg den);
@@ -305,9 +295,6 @@ class RationalMap:
         object.__setattr__(self, "const", const)
         # equal to the hash of ("map", Poly(nz), Poly(dz), const): an integral Poly hashes as its ints
         object.__setattr__(self, "_hash", hash(("map", nz, dz, const)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMap is immutable")
 
     @classmethod
     def constant(cls, point: ClosedPoint) -> "RationalMap":
@@ -611,15 +598,10 @@ def min_divisor(d1: Divisor, d2: Divisor) -> Divisor:
     return Divisor(acc)
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(Record):
     """Comparison data for a divisor pair."""
 
-    effective_1: bool
-    le: bool
-    eq: bool
-    support_1: frozenset[ClosedPoint]
-    reduced_1: Divisor
+    __slots__ = ("effective_1", "le", "eq", "support_1", "reduced_1")
 
 
 def divisor_order(d1: Divisor, d2: Divisor) -> OrderReport:
@@ -644,8 +626,7 @@ def canonical_split(d: Divisor) -> tuple[Divisor, Divisor]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Locus:
+class Locus(Record):
     """A finite Galois-stable set of closed points of the line.
 
     ``fibers`` holds the nonempty finite fibers whose points make up the
@@ -653,8 +634,11 @@ class Locus:
     flags the point at infinity.  ``Locus()`` is the empty locus.
     """
 
-    fibers: tuple[tuple[RationalMap, ClosedPoint, _Fiber], ...] = ()
-    has_infinity: bool = False
+    __slots__ = ("fibers", "has_infinity")
+
+    def __init__(self, fibers: tuple = (), has_infinity: bool = False):
+        _setslot(self, "fibers", fibers)
+        _setslot(self, "has_infinity", has_infinity)
 
     @property
     def is_empty(self) -> bool:

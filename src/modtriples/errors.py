@@ -1,9 +1,56 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the bases of the engine's value types.
 
 Every domain error raised by the engine derives from SymbolicError, so
 callers (in particular the CLI) can map any domain failure to a single
 "error" exit path while still matching specific conditions by type.
 """
+
+_setslot = object.__setattr__  # sets a slot in __init__; a module global is quicker to call
+
+
+class Immutable:
+    """Base of the engine's slotted value types: ``__init__`` sets the slots with
+    ``object.__setattr__``, and no assignment can change them afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Immutable):
+    """Base of the engine's records: the fields are the ``__slots__``, in order.  A record
+    equals one of its own class with equal fields, hashes as the tuple of its fields, reads
+    as ``Name(field=value, ...)``; one with defaults, checks or hot callers has its own __init__."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            _setslot(self, name, value)
+
+    def as_dict(self) -> dict:
+        """The fields by name, in order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.as_dict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild a record through its __init__
+        return type(self), self._values()
 
 
 class SymbolicError(Exception):

@@ -10,8 +10,6 @@ of the reduced boundary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cycles import Cycle, all_excellent, graph_cycle, is_admissible
 from .divisors import (
     CurveSpace,
@@ -30,16 +28,16 @@ from .errors import (
     NotInteriorPreserving,
     NotManClass,
     NotMinClass,
+    Record,
+    _setslot,
 )
 from .triples import ModulusPair, ModulusTriple, TripleSum, classify, component_comparison, separation
 
 
-@dataclass(frozen=True)
-class TransportCheck:
+class TransportCheck(Record):
     """Both sides of a hom-membership equivalence for one candidate."""
 
-    left: bool
-    right: bool
+    __slots__ = ("left", "right")
 
     @property
     def agrees(self) -> bool:
@@ -200,18 +198,18 @@ def g_adjunction_member(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IYObject:
+class IYObject(Record):
     """Proper line with two effective divisors of disjoint support."""
 
-    y: Divisor
-    z: Divisor
+    __slots__ = ("y", "z")
 
-    def __post_init__(self):
-        if not self.y.is_effective or not self.z.is_effective:
+    def __init__(self, y: Divisor, z: Divisor):
+        if not y.is_effective or not z.is_effective:
             raise NotEffective("bridge objects carry effective divisors")
-        if self.y.support() & self.z.support():
+        if y.support() & z.support():
             raise DegenerateInput("the two divisors must have disjoint supports")
+        _setslot(self, "y", y)
+        _setslot(self, "z", z)
 
 
 def iy_to_triple(o: IYObject) -> ModulusTriple:
@@ -256,18 +254,18 @@ def is_iy_morphism(f: RationalMap, o1: IYObject, o2: IYObject) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MlogObject:
+class MlogObject(Record):
     """Proper line with a reduced boundary divisor and a modulus divisor."""
 
-    boundary_div: Divisor
-    modulus_div: Divisor
+    __slots__ = ("boundary_div", "modulus_div")
 
-    def __post_init__(self):
-        if not self.boundary_div.is_effective or not self.modulus_div.is_effective:
+    def __init__(self, boundary_div: Divisor, modulus_div: Divisor):
+        if not boundary_div.is_effective or not modulus_div.is_effective:
             raise NotEffective("bridge objects carry effective divisors")
-        if self.boundary_div != self.boundary_div.reduced():
+        if boundary_div != boundary_div.reduced():
             raise DegenerateInput("the boundary divisor must be reduced")
+        _setslot(self, "boundary_div", boundary_div)
+        _setslot(self, "modulus_div", modulus_div)
 
 
 def mlog_to_triple(o: MlogObject) -> ModulusTriple:
@@ -309,11 +307,10 @@ def is_mlog_morphism(f: RationalMap, o1: MlogObject, o2: MlogObject) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NePair:
+class NePair(Record):
     """The proper line with a divisor at infinity of arbitrary sign."""
 
-    infinity: Divisor
+    __slots__ = ("infinity",)
 
 
 def ne_embed(x: NePair) -> ModulusTriple:
@@ -360,13 +357,10 @@ def ne_hom_member(candidate: Cycle, x: NePair, y: NePair) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompObject:
+class CompObject(Record):
     """A compactification stage of an open-total triple."""
 
-    base: ModulusTriple
-    completion: ModulusTriple
-    witness_c: Divisor
+    __slots__ = ("base", "completion", "witness_c")
 
 
 def is_comp_object(co: CompObject) -> bool:

@@ -34,11 +34,10 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, Immutable, Record
 
 NEG_INFINITY = float("-inf")  # degree of the zero polynomial
 MAX_RECOMBINATION_SUBSETS = 100_000  # factor subsets that recombination tries before DegenerateInput
@@ -50,7 +49,7 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-class Poly:
+class Poly(Immutable):
     """A dense univariate polynomial with Fraction coefficients, read-only.
 
     Poly is the type of the public polynomial API only; arithmetic runs on
@@ -67,9 +66,6 @@ class Poly:
         cs = [Fraction(c) for c in coeffs]
         _trim(cs)
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -743,16 +739,14 @@ def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
     return [(mult, _monic_from_ints(part)) for mult, part in _zyun(f)]
 
 
-@dataclass(frozen=True)
-class FactoredPoly:
+class FactoredPoly(Record):
     """Canonical factorization unit * prod(factor^multiplicity).
 
     Factors are monic irreducible over Q, pairwise distinct, sorted by
     (degree, lexicographic coefficients from the top down).
     """
 
-    unit: Fraction
-    factors: tuple[tuple[Poly, int], ...]
+    __slots__ = ("unit", "factors")
 
     def expand(self) -> Poly:
         acc = [self.unit]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import oracles
@@ -43,7 +42,7 @@ from .divisors import (
     pullback_divisor,
     pushforward_divisor,
 )
-from .errors import NotExcellent, ParseError, SymbolicError
+from .errors import NotExcellent, ParseError, Record, SymbolicError, _setslot
 from .formats import (
     MAX_DEGREE,
     cycle_from_json,
@@ -105,27 +104,26 @@ from .triples import (
 )
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(Record):
     """Configuration for a suite run; unknown suite names are rejected here."""
 
-    seed: int = 0
-    samples: int = 100
-    degree_bound: int = 4
-    height_bound: int = 10
-    suites: tuple[str, ...] = ("all",)
+    __slots__ = ("seed", "samples", "degree_bound", "height_bound", "suites")
 
-    def __post_init__(self):
-        if not (0 <= self.seed < 2**64):
+    def __init__(self, seed=0, samples=100, degree_bound=4, height_bound=10, suites=("all",)):
+        if not (0 <= seed < 2**64):
             raise ParseError("seed must fit in 64 unsigned bits")
-        if self.height_bound >= 2**64:  # coefficients this large cost without bound to print
+        if height_bound >= 2**64:  # coefficients this large cost without bound to print
             raise ParseError("height bound must fit in 64 unsigned bits")
-        if self.samples < 1 or self.degree_bound < 1 or self.height_bound < 1:
+        if samples < 1 or degree_bound < 1 or height_bound < 1:
             raise ParseError("samples and bounds must be at least one")
-        if self.degree_bound > MAX_DEGREE:  # the degree cap of a parsed map
+        if degree_bound > MAX_DEGREE:  # the degree cap of a parsed map
             raise ParseError(f"degree bound above {MAX_DEGREE}")
-        names = self.resolved_suites()
-        for name in names:
+        _setslot(self, "seed", seed)
+        _setslot(self, "samples", samples)
+        _setslot(self, "degree_bound", degree_bound)
+        _setslot(self, "height_bound", height_bound)
+        _setslot(self, "suites", suites)
+        for name in self.resolved_suites():
             if name not in SUITES:
                 raise ParseError(f"unknown suite identifier {name!r}")
 
@@ -135,13 +133,17 @@ class SuiteConfig:
         return tuple(self.suites)
 
 
-@dataclass
-class Report:
-    """Per-check records plus summary counts; deterministic up to elapsed_s."""
+class Report(Record):
+    """Per-check records plus summary counts; deterministic up to elapsed_s.  Mutable."""
 
-    config: SuiteConfig
-    records: list[dict] = field(default_factory=list)
-    elapsed_s: float = 0.0
+    __slots__ = ("config", "records", "elapsed_s")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, config: SuiteConfig, records: Optional[list[dict]] = None, elapsed_s: float = 0.0):
+        self.config = config
+        self.records = [] if records is None else records
+        self.elapsed_s = elapsed_s
 
     @property
     def passed(self) -> bool:

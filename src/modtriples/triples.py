@@ -15,7 +15,6 @@ that collapse to a point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .divisors import (
@@ -27,10 +26,10 @@ from .divisors import (
     min_divisor,
     pullback_divisor,
 )
-from .errors import DegenerateInput, NotEffective, NotFiniteOverSource
+from .errors import DegenerateInput, Immutable, NotEffective, NotFiniteOverSource, Record, _setslot
 
 
-class ModulusTriple:
+class ModulusTriple(Immutable):
     """Total curve space plus two effective divisors (plus, minus)."""
 
     __slots__ = ("total", "plus", "minus")
@@ -45,9 +44,6 @@ class ModulusTriple:
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "minus", minus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModulusTriple is immutable")
 
     @classmethod
     def proper(cls, plus: Divisor, minus: Divisor) -> "ModulusTriple":
@@ -77,28 +73,27 @@ class ModulusTriple:
         return f"ModulusTriple({triple_to_text(self)})"
 
 
-@dataclass(frozen=True)
-class ModulusPair:
+class ModulusPair(Record):
     """A total space with a single effective divisor at infinity."""
 
-    total: CurveSpace
-    infinity: Divisor
+    __slots__ = ("total", "infinity")
 
-    def __post_init__(self):
-        if not self.infinity.is_effective:
+    def __init__(self, total: CurveSpace, infinity: Divisor):
+        if not infinity.is_effective:
             raise NotEffective("a modulus pair carries an effective divisor")
-        if not self.total.is_proper and (self.infinity.support() & self.total.boundary):
+        if not total.is_proper and (infinity.support() & total.boundary):
             raise DegenerateInput("divisor support meets the removed boundary")
+        _setslot(self, "total", total)
+        _setslot(self, "infinity", infinity)
 
     def as_triple(self) -> ModulusTriple:
         return ModulusTriple(self.total, self.infinity, Divisor.zero())
 
 
-@dataclass(frozen=True)
-class TripleSum:
+class TripleSum(Record):
     """Formal finite direct sum of triples (order-sensitive)."""
 
-    summands: tuple[ModulusTriple, ...]
+    __slots__ = ("summands",)
 
     @classmethod
     def of(cls, *triples: ModulusTriple) -> "TripleSum":
@@ -141,17 +136,10 @@ def separation(t: ModulusTriple) -> tuple[ModulusTriple, Divisor]:
     return ModulusTriple(t.total, t.plus - f, t.minus - f), f
 
 
-@dataclass(frozen=True)
-class TripleClass:
+class TripleClass(Record):
     """Classification flags for a triple."""
 
-    disjoint: bool
-    saturated: bool
-    min_class: bool
-    man_class: bool
-    proper: bool
-    coadmissible: bool
-    modulus_pair: bool
+    __slots__ = ("disjoint", "saturated", "min_class", "man_class", "proper", "coadmissible", "modulus_pair")
 
 
 def classify(t: ModulusTriple) -> TripleClass:
@@ -250,21 +238,15 @@ def modulus_condition_point(w: ClosedPoint, t: ModulusTriple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftMorphism:
+class ShiftMorphism(Record):
     """The identity-supported morphism (total, plus+D, minus+D) -> triple.
 
     Always admissible; an isomorphism exactly when |D| is inside
     |plus|, in which case the reverse identity is admissible too and is
-    carried along.
+    carried along: ``reverse_cycle`` is None otherwise.
     """
 
-    source: ModulusTriple
-    target: ModulusTriple
-    shift: Divisor
-    cycle: "object"
-    is_iso: bool
-    reverse_cycle: Optional["object"]
+    __slots__ = ("source", "target", "shift", "cycle", "is_iso", "reverse_cycle")
 
 
 def shift_morphism(t: ModulusTriple, d: Divisor) -> ShiftMorphism:
